@@ -7,8 +7,9 @@
 #                        internal/persist)
 #   make fuzz            a short fuzz session on the wire codec
 #   make fuzz-smoke      brief fuzz pass over every decoder that parses
-#                        untrusted bytes (wire, WAL record, sealed anchor);
-#                        CI runs this after check
+#                        untrusted bytes (wire, WAL record, sealed anchor,
+#                        counter block) and the controller's byte-granular
+#                        span path; CI runs this after check
 #   make bench           service benchmark: start secmemd, drive it with
 #                        loadgen, write BENCH_service.json
 #   make bench-recovery  crash-recovery benchmark: restart-to-first-byte vs
@@ -83,6 +84,8 @@ fuzz-smoke:
 	$(GO) test -run=none -fuzz=FuzzAgainstStdlib -fuzztime=5s ./internal/crypto/aes/
 	$(GO) test -run=none -fuzz=FuzzAgainstStdlib -fuzztime=5s ./internal/crypto/hmac/
 	$(GO) test -run=none -fuzz=FuzzAgainstStdlib -fuzztime=5s ./internal/crypto/sha1/
+	$(GO) test -run=none -fuzz=FuzzDecodeEncode -fuzztime=5s ./internal/counter/
+	$(GO) test -run=none -fuzz=FuzzWriteRead -fuzztime=5s ./internal/core/
 
 chaos: build
 	$(GO) run ./cmd/chaos -rounds 3
@@ -104,7 +107,7 @@ bench-integrity:
 	./scripts/bench_integrity.sh
 
 bench-smoke:
-	$(GO) test -run=none -bench . -benchtime 1x ./internal/crypto/... ./internal/integrity/... ./internal/shard/... .
+	$(GO) test -run=none -bench . -benchtime 1x ./internal/crypto/... ./internal/counter/... ./internal/integrity/... ./internal/core/... ./internal/shard/... .
 
 metrics-smoke: build
 	./scripts/metrics_smoke.sh

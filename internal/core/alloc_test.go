@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
+	"aisebmt/internal/layout"
 	"aisebmt/internal/mem"
 )
 
@@ -10,7 +12,7 @@ import (
 // page is initialized, the steady-state writeback and fetch paths of the
 // paper's AISE+BMT configuration perform zero heap allocations — pad
 // generation, data MACs and the Bonsai tree walk all run out of per-engine
-// scratch.
+// scratch, and a page span keeps its counter-cache line on the stack.
 func TestHotPathZeroAlloc(t *testing.T) {
 	s, err := New(Config{
 		DataBytes:  1 << 20,
@@ -48,6 +50,33 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}
 	if out != blk {
 		t.Error("round trip corrupted the block")
+	}
+
+	// The same contract for a whole-page span and for the sweep.
+	page := bytes.Repeat(blk[:], layout.BlocksPerPage)
+	got := make([]byte, layout.PageSize)
+	if err := s.Write(0x8000, page, Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		if e := s.Write(0x8000, page, Meta{}); e != nil {
+			opErr = e
+		}
+		if e := s.Read(0x8000, got, Meta{}); e != nil {
+			opErr = e
+		}
+		if e := s.VerifyAll(); e != nil {
+			opErr = e
+		}
+	})
+	if opErr != nil {
+		t.Fatal(opErr)
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state 4KiB write+read+VerifyAll allocates %.1f times per op, want 0", allocs)
+	}
+	if !bytes.Equal(got, page) {
+		t.Error("round trip corrupted the page")
 	}
 }
 

@@ -144,6 +144,10 @@ type Config struct {
 }
 
 // Stats counts the controller's work for experiments and examples.
+// PadGens, MACOps, TreeUpdates and TreeVerifies count work actually
+// performed — a page span walks the Bonsai tree once however many blocks it
+// covers, and a verification sweep generates no pads — while BlockReads,
+// BlockWrites and the metadata-cache model stay per block.
 type Stats struct {
 	BlockReads     uint64
 	BlockWrites    uint64
@@ -475,15 +479,6 @@ func (s *SecureMemory) initializeDataRegion() {
 	s.mem.Writes = 0
 }
 
-// counterOf returns the split counter block covering a data address
-// (zero-valued for non-AISE schemes).
-func (s *SecureMemory) counterOf(a layout.Addr) counter.Block {
-	if s.split == nil {
-		return counter.Block{}
-	}
-	return s.split.Load(a)
-}
-
 // Config returns the controller's configuration.
 func (s *SecureMemory) Config() Config { return s.cfg }
 
@@ -544,101 +539,6 @@ func (s *SecureMemory) seedFor(a layout.Addr, meta Meta, ctr uint64, lpid uint64
 	}
 }
 
-func (s *SecureMemory) checkData(a layout.Addr) error {
-	if !s.dataRegion.Contains(a) {
-		return fmt.Errorf("core: %#x outside data region", a)
-	}
-	return nil
-}
-
-// WriteBlock is the writeback path: the processor evicts a dirty plaintext
-// block, the controller encrypts it under a fresh counter, stores it, and
-// updates integrity metadata. For CtrVirt the caller must supply the
-// virtual address and PID in meta.
-func (s *SecureMemory) WriteBlock(a layout.Addr, plain *mem.Block, meta Meta) error {
-	a = a.BlockAddr()
-	if err := s.checkData(a); err != nil {
-		return err
-	}
-	if s.ctrRegion.Size > 0 {
-		s.touchCtr(s.ctrSlotBlock(a))
-	}
-	var ct mem.Block
-	var lpid uint64
-	var minor uint8
-
-	switch s.cfg.Encryption {
-	case NoEncryption:
-		ct = *plain
-	case DirectEncryption:
-		s.direct.EncryptBlock(&ct, plain)
-	case AISE:
-		if s.split.Load(a).LPID == 0 {
-			if err := s.initializePage(a.PageAddr()); err != nil {
-				return err
-			}
-		}
-		old, cb, overflowed := s.split.Bump(a)
-		if overflowed {
-			if err := s.reencryptPage(a.PageAddr(), old, cb); err != nil {
-				return err
-			}
-		}
-		lpid, minor = cb.LPID, cb.Minor[a.BlockInPage()]
-		s.ctrMode.EncryptBlock(&ct, plain, s.seedFor(a, meta, uint64(minor), lpid))
-		if s.tree != nil {
-			if err := s.treeUpdate(s.split.BlockAddr(a)); err != nil {
-				return err
-			}
-			s.stats.TreeUpdates++
-			s.touchTreeWalk(s.split.BlockAddr(a))
-		}
-	case CtrPhys, CtrVirt:
-		v, _ := s.perBlock.Increment(a)
-		s.ctrMode.EncryptBlock(&ct, plain, s.seedFor(a, meta, v, 0))
-	case CtrGlobal32, CtrGlobal64:
-		v, wrapped := s.global.Next()
-		if wrapped {
-			if err := s.reencryptAllGlobal(); err != nil {
-				return err
-			}
-			v, _ = s.global.Next()
-		}
-		s.global.SetStored(a, v)
-		s.ctrMode.EncryptBlock(&ct, plain, s.seedFor(a, meta, v, 0))
-	}
-
-	s.mem.WriteBlock(a, &ct)
-	s.stats.BlockWrites++
-
-	switch s.cfg.Integrity {
-	case MACOnly:
-		s.macOnly.Update(a, &ct)
-	case BonsaiMT:
-		if s.groupMACs != nil {
-			s.groupMACs.Update(a, s.split.Load(a))
-		} else {
-			s.dataMACs.Update(a, &ct, lpid, minor)
-		}
-	case MerkleTree:
-		if err := s.treeUpdate(a); err != nil {
-			return err
-		}
-		s.stats.TreeUpdates++
-		s.touchTreeWalk(a)
-		// Counter storage written by the encryption step is also covered.
-		// (The AISE branch above already refreshed its counter block.)
-		if s.ctrRegion.Size > 0 && s.cfg.Encryption != AISE {
-			if err := s.treeUpdate(s.ctrSlotBlock(a)); err != nil {
-				return err
-			}
-			s.stats.TreeUpdates++
-			s.touchTreeWalk(s.ctrSlotBlock(a))
-		}
-	}
-	return nil
-}
-
 // ctrSlotBlock returns the counter-region block holding a data block's
 // counter metadata under the configured scheme.
 func (s *SecureMemory) ctrSlotBlock(a layout.Addr) layout.Addr {
@@ -653,176 +553,6 @@ func (s *SecureMemory) ctrSlotBlock(a layout.Addr) layout.Addr {
 		return (s.ctrRegion.Base + layout.Addr(blk*8)).BlockAddr()
 	}
 	return 0
-}
-
-// ReadBlock is the fetch path: the controller fetches ciphertext, verifies
-// integrity according to the configured scheme, decrypts, and hands the
-// plaintext to the processor. Integrity violations are reported wrapping
-// ErrTampered and leave dst zeroed.
-func (s *SecureMemory) ReadBlock(a layout.Addr, dst *mem.Block, meta Meta) error {
-	a = a.BlockAddr()
-	if err := s.checkData(a); err != nil {
-		return err
-	}
-	// Verification below reads tree state: commit any updates the open
-	// batch window has deferred (no-op outside a window).
-	if err := s.treeBarrier(); err != nil {
-		return err
-	}
-	var ct mem.Block
-	s.mem.ReadBlock(a, &ct)
-	s.stats.BlockReads++
-	if s.ctrRegion.Size > 0 {
-		s.touchCtr(s.ctrSlotBlock(a))
-	}
-
-	var lpid uint64
-	var minor uint8
-	if s.split != nil {
-		cb := s.split.Load(a)
-		lpid, minor = cb.LPID, cb.Minor[a.BlockInPage()]
-		if lpid == 0 {
-			// Vacant page: LPID 0 is the tamper-evident free state. Verify
-			// the claim through the tree when one covers the counters, then
-			// hand the processor zeros.
-			if s.tree != nil && s.tree.Covers(s.split.BlockAddr(a)) {
-				s.stats.TreeVerifies++
-				s.touchTreeWalk(s.split.BlockAddr(a))
-				if err := s.tree.VerifyBlock(s.split.BlockAddr(a)); err != nil {
-					*dst = mem.Block{}
-					return fmt.Errorf("%w: counter %v", ErrTampered, err)
-				}
-			}
-			*dst = mem.Block{}
-			return nil
-		}
-	}
-
-	switch s.cfg.Integrity {
-	case MACOnly:
-		if err := s.macOnly.Verify(a, &ct); err != nil {
-			*dst = mem.Block{}
-			return fmt.Errorf("%w: %v", ErrTampered, err)
-		}
-	case MerkleTree:
-		s.stats.TreeVerifies++
-		s.touchTreeWalk(a)
-		if err := s.tree.VerifyBlock(a); err != nil {
-			*dst = mem.Block{}
-			return fmt.Errorf("%w: %v", ErrTampered, err)
-		}
-		// The counter fetched to decrypt is a memory read too; it is
-		// covered by the tree and verified with the data block.
-		if s.ctrRegion.Size > 0 {
-			if err := s.tree.VerifyBlock(s.ctrSlotBlock(a)); err != nil {
-				*dst = mem.Block{}
-				return fmt.Errorf("%w: counter %v", ErrTampered, err)
-			}
-		}
-	case BonsaiMT:
-		// Verify the counter block through the Bonsai tree, then the data
-		// MAC against the guaranteed-fresh counter (§5.2).
-		s.stats.TreeVerifies++
-		s.touchTreeWalk(s.split.BlockAddr(a))
-		if err := s.tree.VerifyBlock(s.split.BlockAddr(a)); err != nil {
-			*dst = mem.Block{}
-			return fmt.Errorf("%w: counter %v", ErrTampered, err)
-		}
-		var verr error
-		if s.groupMACs != nil {
-			verr = s.groupMACs.Verify(a, s.split.Load(a))
-		} else {
-			verr = s.dataMACs.Verify(a, &ct, lpid, minor)
-		}
-		if verr != nil {
-			*dst = mem.Block{}
-			return fmt.Errorf("%w: %v", ErrTampered, verr)
-		}
-	}
-
-	switch s.cfg.Encryption {
-	case NoEncryption:
-		*dst = ct
-	case DirectEncryption:
-		s.direct.DecryptBlock(dst, &ct)
-	case AISE:
-		s.ctrMode.DecryptBlock(dst, &ct, s.seedFor(a, meta, uint64(minor), lpid))
-	case CtrPhys, CtrVirt:
-		v := s.perBlock.Get(a)
-		s.ctrMode.DecryptBlock(dst, &ct, s.seedFor(a, meta, v, 0))
-	case CtrGlobal32, CtrGlobal64:
-		v := s.global.Stored(a)
-		s.ctrMode.DecryptBlock(dst, &ct, s.seedFor(a, meta, v, 0))
-	}
-	return nil
-}
-
-// initializePage gives a vacant page a fresh LPID and an encrypted-zero
-// image with matching integrity metadata — the secure analogue of the OS
-// zeroing a frame at allocation. Cost: one page of pad generation and MAC
-// work, charged to the allocating write, never to page movement.
-func (s *SecureMemory) initializePage(page layout.Addr) error {
-	fresh := counter.Block{LPID: s.gpc.Next()}
-	s.split.Store(page, fresh)
-	var zero mem.Block
-	for i := 0; i < layout.BlocksPerPage; i++ {
-		a := page + layout.Addr(i*layout.BlockSize)
-		var ct mem.Block
-		s.ctrMode.EncryptBlock(&ct, &zero, encrypt.SeedInput{PhysAddr: a, LPID: fresh.LPID, Counter: 0})
-		s.mem.WriteBlock(a, &ct)
-		if s.dataMACs != nil {
-			s.dataMACs.Update(a, &ct, fresh.LPID, 0)
-		}
-		if s.macOnly != nil {
-			s.macOnly.Update(a, &ct)
-		}
-		if s.cfg.Integrity == MerkleTree {
-			if err := s.treeUpdate(a); err != nil {
-				return err
-			}
-		}
-	}
-	if s.groupMACs != nil {
-		for a := page; a < page+layout.PageSize; a += layout.Addr(s.groupMACs.Coverage() * layout.BlockSize) {
-			s.groupMACs.Update(a, fresh)
-		}
-	}
-	if s.tree != nil {
-		if err := s.treeUpdate(s.split.BlockAddr(page)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// reencryptPage re-encrypts a whole page after a minor-counter overflow:
-// every block is decrypted under the old counter block and re-encrypted
-// under the fresh LPID (§4.3). Blocks keep their data; integrity metadata
-// is refreshed.
-func (s *SecureMemory) reencryptPage(page layout.Addr, old, new counter.Block) error {
-	s.stats.PageReencrypts++
-	for i := 0; i < layout.BlocksPerPage; i++ {
-		a := page + layout.Addr(i*layout.BlockSize)
-		var ct, plain, nct mem.Block
-		s.mem.ReadBlock(a, &ct)
-		s.ctrMode.DecryptBlock(&plain, &ct, encrypt.SeedInput{PhysAddr: a, LPID: old.LPID, Counter: uint64(old.Minor[i])})
-		s.ctrMode.EncryptBlock(&nct, &plain, encrypt.SeedInput{PhysAddr: a, LPID: new.LPID, Counter: uint64(new.Minor[i])})
-		s.mem.WriteBlock(a, &nct)
-		if s.dataMACs != nil {
-			s.dataMACs.Update(a, &nct, new.LPID, new.Minor[i])
-		}
-		if s.cfg.Integrity == MerkleTree {
-			if err := s.treeUpdate(a); err != nil {
-				return err
-			}
-		}
-	}
-	if s.groupMACs != nil {
-		for a := page; a < page+layout.PageSize; a += layout.Addr(s.groupMACs.Coverage() * layout.BlockSize) {
-			s.groupMACs.Update(a, new)
-		}
-	}
-	return nil
 }
 
 // reencryptAllGlobal models the global-counter wrap: the key must change
@@ -855,19 +585,6 @@ func (s *SecureMemory) reencryptAllGlobal() error {
 	return nil
 }
 
-// VerifyAll sweeps the entire data region through the verification path,
-// returning the first integrity violation found (or nil). It models a
-// background scrubber and is the library's recovery-time audit.
-func (s *SecureMemory) VerifyAll() error {
-	var blk mem.Block
-	for a := layout.Addr(0); a < layout.Addr(s.cfg.DataBytes); a += layout.BlockSize {
-		if err := s.ReadBlock(a, &blk, Meta{}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Root returns a copy of the on-chip Merkle tree root, or nil when the
 // configured integrity scheme keeps no tree.
 func (s *SecureMemory) Root() []byte {
@@ -875,42 +592,4 @@ func (s *SecureMemory) Root() []byte {
 		return nil
 	}
 	return s.tree.Root()
-}
-
-// Read copies len(dst) plaintext bytes starting at address a, decrypting
-// and verifying each touched block.
-func (s *SecureMemory) Read(a layout.Addr, dst []byte, meta Meta) error {
-	for len(dst) > 0 {
-		var blk mem.Block
-		if err := s.ReadBlock(a, &blk, meta); err != nil {
-			return err
-		}
-		off := int(a) & (layout.BlockSize - 1)
-		n := copy(dst, blk[off:])
-		dst = dst[n:]
-		a += layout.Addr(n)
-	}
-	return nil
-}
-
-// Write stores len(src) plaintext bytes starting at address a, performing
-// read-modify-write on partially covered blocks.
-func (s *SecureMemory) Write(a layout.Addr, src []byte, meta Meta) error {
-	for len(src) > 0 {
-		var blk mem.Block
-		off := int(a) & (layout.BlockSize - 1)
-		n := len(src)
-		if off != 0 || n < layout.BlockSize {
-			if err := s.ReadBlock(a, &blk, meta); err != nil {
-				return err
-			}
-		}
-		n = copy(blk[off:], src)
-		if err := s.WriteBlock(a, &blk, meta); err != nil {
-			return err
-		}
-		src = src[n:]
-		a += layout.Addr(n)
-	}
-	return nil
 }

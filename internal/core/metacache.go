@@ -40,6 +40,15 @@ func (s *SecureMemory) touchCtr(a layout.Addr) {
 	s.mcache.ctr[line] = tag
 }
 
+// touchCtrSpan records a span of n data blocks being served from the
+// counter block at a. The model keeps its per-block meaning: the first
+// block looks the line up, and the rest of the span hits the line that
+// lookup left resident — what n one-block accesses would have recorded.
+func (s *SecureMemory) touchCtrSpan(a layout.Addr, n int) {
+	s.touchCtr(a)
+	s.stats.CtrCacheHits += uint64(n - 1)
+}
+
 // touchNode records an access to the tree node storage block at a.
 func (s *SecureMemory) touchNode(a layout.Addr) {
 	line := (uint64(a) / layout.BlockSize) % nodeCacheLines

@@ -36,15 +36,22 @@ func (s *SecureMemory) RotateKey(newKey []byte) error {
 	if err != nil {
 		return err
 	}
-	var blk mem.Block
-	for a := layout.Addr(0); a < layout.Addr(s.cfg.DataBytes); a += layout.BlockSize {
-		copy(blk[:], plain[a:int(a)+layout.BlockSize])
-		if blk == (mem.Block{}) {
-			continue // vacant/zero blocks need no write
+	// Write each run of non-zero blocks back as one span; vacant/zero
+	// blocks need no write.
+	zero := func(a uint64) bool { return mem.Block(plain[a:a+layout.BlockSize]) == (mem.Block{}) }
+	for a := uint64(0); a < s.cfg.DataBytes; {
+		if zero(a) {
+			a += layout.BlockSize
+			continue
 		}
-		if err := fresh.WriteBlock(a, &blk, Meta{}); err != nil {
+		end := a + layout.BlockSize
+		for end < s.cfg.DataBytes && !zero(end) {
+			end += layout.BlockSize
+		}
+		if err := fresh.Write(layout.Addr(a), plain[a:end], Meta{}); err != nil {
 			return err
 		}
+		a = end
 	}
 	// Adopt the successor's state; accumulate prior work counters.
 	stats := s.stats

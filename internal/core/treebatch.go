@@ -8,10 +8,10 @@ import "aisebmt/internal/layout"
 // BeginTreeBatch/EndTreeBatch: in between, tree updates are deferred into a
 // dirty list that EndTreeBatch commits as one level-ordered, coalescing,
 // worker-parallel integrity.Tree.UpdateBatch pass with a single root
-// update. Operations that READ tree state mid-batch (ReadBlock
-// verification, swap, hibernate) call treeBarrier first, which commits the
-// pending set — so batches mixing reads and writes stay correct without
-// the caller tracking anything.
+// update. Operations that READ tree state mid-batch (a fetch span's
+// counter-block verification, swap, hibernate) call treeBarrier first,
+// which commits the pending set — so batches mixing reads and writes stay
+// correct without the caller tracking anything.
 //
 // Invariant: outside a Begin/End window the dirty list is empty, so
 // library users who never call BeginTreeBatch get the unchanged eager

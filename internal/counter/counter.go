@@ -74,19 +74,23 @@ type Block struct {
 	Minor [layout.BlocksPerPage]uint8
 }
 
+// minorGroups is how many 8-counter groups a block holds: eight 7-bit
+// counters fill exactly seven bytes, so the codec moves one group per
+// 56-bit shift register instead of one bit at a time.
+const minorGroups = layout.BlocksPerPage / 8
+
 // Encode packs the counter block into a 64-byte memory block.
 func (cb *Block) Encode() mem.Block {
 	var out mem.Block
 	binary.BigEndian.PutUint64(out[:8], cb.LPID)
-	// Pack 64 7-bit counters into bits [64, 512) of the block.
-	bitPos := 64
-	for _, c := range cb.Minor {
-		v := uint16(c & layout.MinorCounterMax)
-		for b := 6; b >= 0; b-- {
-			if v&(1<<uint(b)) != 0 {
-				out[bitPos/8] |= 1 << uint(7-bitPos%8)
-			}
-			bitPos++
+	for g := 0; g < minorGroups; g++ {
+		var v uint64
+		for _, c := range cb.Minor[g*8 : g*8+8] {
+			v = v<<7 | uint64(c&layout.MinorCounterMax)
+		}
+		o := out[8+g*7 : 8+g*7+7]
+		for i := range o {
+			o[i] = byte(v >> uint(48-8*i))
 		}
 	}
 	return out
@@ -96,19 +100,31 @@ func (cb *Block) Encode() mem.Block {
 func DecodeBlock(in mem.Block) Block {
 	var cb Block
 	cb.LPID = binary.BigEndian.Uint64(in[:8])
-	bitPos := 64
-	for i := range cb.Minor {
-		var v uint8
-		for b := 0; b < 7; b++ {
-			v <<= 1
-			if in[bitPos/8]&(1<<uint(7-bitPos%8)) != 0 {
-				v |= 1
-			}
-			bitPos++
+	for g := 0; g < minorGroups; g++ {
+		var v uint64
+		for _, b := range in[8+g*7 : 8+g*7+7] {
+			v = v<<8 | uint64(b)
 		}
-		cb.Minor[i] = v
+		m := cb.Minor[g*8 : g*8+8]
+		for i := range m {
+			m[i] = uint8(v>>uint(49-7*i)) & layout.MinorCounterMax
+		}
 	}
 	return cb
+}
+
+// Bump advances the minor counter of the page's idx-th block in place and
+// reports whether it overflowed. On overflow the block resets under a
+// fresh LPID with every other minor counter cleared; the caller must
+// re-encrypt the page (§4.3).
+func (cb *Block) Bump(idx int, gpc *GPC) (overflowed bool) {
+	if cb.Minor[idx] == layout.MinorCounterMax {
+		*cb = Block{LPID: gpc.Next()}
+		cb.Minor[idx] = 1
+		return true
+	}
+	cb.Minor[idx]++
+	return false
 }
 
 // SplitStore manages AISE split-counter blocks in the memory's counter
@@ -158,39 +174,21 @@ func (s *SplitStore) EnsureLPID(data layout.Addr) Block {
 
 // Increment bumps the minor counter of the data block containing data,
 // returning the updated counter block and whether the minor counter
-// overflowed. On overflow the counter resets with a fresh LPID and all
-// other minor counters cleared; the caller must re-encrypt the page (§4.3).
+// overflowed (see Block.Bump).
 func (s *SplitStore) Increment(data layout.Addr) (cb Block, overflowed bool) {
-	cb = s.EnsureLPID(data)
-	idx := data.BlockInPage()
-	if cb.Minor[idx] == layout.MinorCounterMax {
-		cb = Block{LPID: s.GPC.Next()}
-		cb.Minor[idx] = 1
-		s.Store(data, cb)
-		return cb, true
-	}
-	cb.Minor[idx]++
-	s.Store(data, cb)
-	return cb, false
+	_, cb, overflowed = s.Bump(data)
+	return cb, overflowed
 }
 
 // Bump is Increment with visibility into the pre-increment state: it
-// returns the counter block before and after the update. The secure memory
-// controller needs the old block to decrypt a page before re-encrypting it
-// when a minor counter overflows.
+// returns the counter block before and after the update, the old one being
+// what a page is decrypted under when its re-encryption is due.
 func (s *SplitStore) Bump(data layout.Addr) (old, new Block, overflowed bool) {
 	old = s.EnsureLPID(data)
-	idx := data.BlockInPage()
-	if old.Minor[idx] == layout.MinorCounterMax {
-		new = Block{LPID: s.GPC.Next()}
-		new.Minor[idx] = 1
-		s.Store(data, new)
-		return old, new, true
-	}
 	new = old
-	new.Minor[idx]++
+	overflowed = new.Bump(data.BlockInPage(), s.GPC)
 	s.Store(data, new)
-	return old, new, false
+	return old, new, overflowed
 }
 
 // GlobalStore is the monolithic global-counter organization: one on-chip

@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +57,63 @@ func TestGPCRestoreBackwardsPanics(t *testing.T) {
 		}
 	}()
 	g.Restore(old)
+}
+
+// encodeBitSerial and decodeBitSerial are the codec as it shipped before
+// the word-wise rewrite: 448 bits walked one at a time. They stay here as
+// the differential oracle — the production codec must agree with them on
+// every input, bit for bit.
+func encodeBitSerial(cb *Block) mem.Block {
+	var out mem.Block
+	binary.BigEndian.PutUint64(out[:8], cb.LPID)
+	bitPos := 64
+	for _, c := range cb.Minor {
+		v := uint16(c & layout.MinorCounterMax)
+		for b := 6; b >= 0; b-- {
+			if v&(1<<uint(b)) != 0 {
+				out[bitPos/8] |= 1 << uint(7-bitPos%8)
+			}
+			bitPos++
+		}
+	}
+	return out
+}
+
+func decodeBitSerial(in mem.Block) Block {
+	var cb Block
+	cb.LPID = binary.BigEndian.Uint64(in[:8])
+	bitPos := 64
+	for i := range cb.Minor {
+		var v uint8
+		for b := 0; b < 7; b++ {
+			v <<= 1
+			if in[bitPos/8]&(1<<uint(7-bitPos%8)) != 0 {
+				v |= 1
+			}
+			bitPos++
+		}
+		cb.Minor[i] = v
+	}
+	return cb
+}
+
+// TestCodecMatchesBitSerial: the word-wise codec against the oracle on
+// random raw blocks and on random counter blocks, including minors with
+// the (ignored) eighth bit set.
+func TestCodecMatchesBitSerial(t *testing.T) {
+	decode := func(raw [layout.BlockSize]byte) bool {
+		return DecodeBlock(raw) == decodeBitSerial(raw)
+	}
+	if err := quick.Check(decode, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	encode := func(lpid uint64, minors [layout.BlocksPerPage]uint8) bool {
+		cb := Block{LPID: lpid, Minor: minors}
+		return cb.Encode() == encodeBitSerial(&cb)
+	}
+	if err := quick.Check(encode, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBlockEncodeDecodeRoundTrip(t *testing.T) {
@@ -346,5 +404,30 @@ func TestPerBlockValidationAndOverflow(t *testing.T) {
 	p32.g.SetStored(0, 1<<32-1)
 	if v, ov := p32.Increment(0); !ov || v != 1 {
 		t.Errorf("32-bit overflow: %d, %v", v, ov)
+	}
+}
+
+var (
+	sinkRaw   mem.Block
+	sinkBlock Block
+)
+
+func BenchmarkEncode(b *testing.B) {
+	cb := Block{LPID: 0x0123456789abcdef}
+	for i := range cb.Minor {
+		cb.Minor[i] = uint8(i*5) & layout.MinorCounterMax
+	}
+	for i := 0; i < b.N; i++ {
+		sinkRaw = cb.Encode()
+	}
+}
+
+func BenchmarkDecodeBlock(b *testing.B) {
+	var raw mem.Block
+	for i := range raw {
+		raw[i] = byte(i*37 + 1)
+	}
+	for i := 0; i < b.N; i++ {
+		sinkBlock = DecodeBlock(raw)
 	}
 }

@@ -158,16 +158,22 @@ func (t *Tree) readNodeBlockInto(a layout.Addr, dst *mem.Block) {
 	t.m.ReadBlock(a, dst)
 }
 
-// nodeMACInto computes the content MAC of one 64-byte protected (leaf
-// content) block into dst (len MACBytes) without allocating. Node storage
-// blocks go through storageMACInto instead so they see cached contents.
-func (t *Tree) nodeMACInto(a layout.Addr, dst []byte) {
-	var blk mem.Block
-	t.m.ReadBlock(a, &blk)
+// contentMACInto computes the content MAC of one 64-byte block into dst
+// (len MACBytes) without allocating.
+func (t *Tree) contentMACInto(blk *mem.Block, dst []byte) {
 	if err := t.mac.SizedInto(dst, blk[:], t.g.MACBits); err != nil {
 		panic(err) // width validated in NewTree
 	}
 	t.MACOps++
+}
+
+// nodeMACInto computes the content MAC of the protected (leaf content)
+// block at a. Node storage blocks go through storageMACInto instead so
+// they see cached contents.
+func (t *Tree) nodeMACInto(a layout.Addr, dst []byte) {
+	var blk mem.Block
+	t.m.ReadBlock(a, &blk)
+	t.contentMACInto(&blk, dst)
 }
 
 // storageMACInto computes the content MAC of one node storage block into
@@ -175,10 +181,7 @@ func (t *Tree) nodeMACInto(a layout.Addr, dst []byte) {
 func (t *Tree) storageMACInto(a layout.Addr, dst []byte) {
 	var blk mem.Block
 	t.readNodeBlockInto(a, &blk)
-	if err := t.mac.SizedInto(dst, blk[:], t.g.MACBits); err != nil {
-		panic(err) // width validated in NewTree
-	}
-	t.MACOps++
+	t.contentMACInto(&blk, dst)
 }
 
 // nodeMAC computes the content MAC of one 64-byte block, allocating the
@@ -241,21 +244,51 @@ func (t *Tree) Root() []byte {
 	return out
 }
 
-// VerifyBlock checks the protected block at a against the full MAC chain up
-// to the on-chip root, as the secure processor does on an L2 miss. It
-// returns an *Error naming the first level that failed, or nil.
+// VerifyBlock fetches the protected block at a and checks it against the
+// full MAC chain up to the on-chip root, as the secure processor does on an
+// L2 miss. It returns an *Error naming the first level that failed, or nil.
 func (t *Tree) VerifyBlock(a layout.Addr) error {
+	idx, err := t.verifiableLeaf(a)
+	if err != nil {
+		return err
+	}
+	var blk mem.Block
+	t.m.ReadBlock(a.BlockAddr(), &blk)
+	return t.verifyLeaf(a, idx, &blk)
+}
+
+// VerifyContent checks blk, the bytes the caller fetched from the protected
+// block at a, against the full MAC chain up to the on-chip root. A caller
+// that goes on to use blk (the controller decoding a counter block) is
+// using exactly the bytes that were authenticated, rather than a second
+// fetch of the same address from untrusted memory.
+func (t *Tree) VerifyContent(a layout.Addr, blk *mem.Block) error {
+	idx, err := t.verifiableLeaf(a)
+	if err != nil {
+		return err
+	}
+	return t.verifyLeaf(a, idx, blk)
+}
+
+// verifiableLeaf returns the leaf index of the protected block at a,
+// refusing an unbuilt tree or an address the tree does not cover.
+func (t *Tree) verifiableLeaf(a layout.Addr) (uint64, error) {
 	if !t.built {
-		return fmt.Errorf("integrity: tree not built")
+		return 0, fmt.Errorf("integrity: tree not built")
 	}
 	idx, ok := t.LeafIndex(a)
 	if !ok {
-		return fmt.Errorf("integrity: %#x is not covered by this tree", a)
+		return 0, fmt.Errorf("integrity: %#x is not covered by this tree", a)
 	}
+	return idx, nil
+}
+
+// verifyLeaf recomputes the MAC of leaf idx's content and walks its chain.
+func (t *Tree) verifyLeaf(a layout.Addr, idx uint64, blk *mem.Block) error {
 	computed := t.nodeScratch[:t.g.MACBytes]
 	stored := t.storedScratch[:t.g.MACBytes]
 	// Leaf: recompute the block's MAC and compare to the stored level-0 MAC.
-	t.nodeMACInto(a.BlockAddr(), computed)
+	t.contentMACInto(blk, computed)
 	t.macAtInto(t.levels[0], idx, stored)
 	if !hmac.Equal(computed, stored) {
 		node, _ := t.TreeGeometry.slotBlock(t.levels[0], idx)

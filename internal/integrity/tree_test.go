@@ -79,6 +79,65 @@ func TestVerifyUncoveredAddress(t *testing.T) {
 	}
 }
 
+// TestVerifyContent: the verify-given-block entry authenticates the bytes
+// it is handed, not whatever memory holds by then — so the bytes a caller
+// goes on to decode are the bytes that were checked — and blames exactly
+// as VerifyBlock does.
+func TestVerifyContent(t *testing.T) {
+	for _, bits := range []int{32, 64, 128, 256} {
+		m, tr := testTree(t, bits)
+		const a = layout.Addr(0x2040)
+		var fetched mem.Block
+		m.ReadBlock(a, &fetched)
+		if err := tr.VerifyContent(a, &fetched); err != nil {
+			t.Fatalf("%d-bit: VerifyContent on the fetched block: %v", bits, err)
+		}
+
+		// Memory changes after the fetch: the fetched copy still verifies,
+		// the address no longer does.
+		spoofed := fetched
+		spoofed[9] ^= 0x04
+		m.Tamper(a, spoofed)
+		if err := tr.VerifyContent(a, &fetched); err != nil {
+			t.Errorf("%d-bit: authentic bytes refused because memory changed later: %v", bits, err)
+		}
+		var fromMem, fromContent *Error
+		if !errors.As(tr.VerifyBlock(a), &fromMem) || !errors.As(tr.VerifyContent(a, &spoofed), &fromContent) {
+			t.Fatalf("%d-bit: spoofed block accepted", bits)
+		}
+		if *fromMem != *fromContent {
+			t.Errorf("%d-bit: VerifyContent blames %+v, VerifyBlock %+v", bits, *fromContent, *fromMem)
+		}
+		m.Tamper(a, fetched)
+
+		// An interior node on the chain: same blame from both entries.
+		nodes, err := tr.NodeAddrs(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			orig := m.Snapshot(n)
+			bad := orig
+			bad[0] ^= 0x80
+			m.Tamper(n, bad)
+			if !errors.As(tr.VerifyBlock(a), &fromMem) || !errors.As(tr.VerifyContent(a, &fetched), &fromContent) {
+				t.Fatalf("%d-bit: tampered node %#x accepted", bits, n)
+			}
+			if *fromMem != *fromContent {
+				t.Errorf("%d-bit: node %#x: VerifyContent blames %+v, VerifyBlock %+v", bits, n, *fromContent, *fromMem)
+			}
+			m.Tamper(n, orig)
+		}
+
+		if err := tr.VerifyContent(1<<20, &fetched); err == nil {
+			t.Errorf("%d-bit: uncovered address verified", bits)
+		}
+		if n := testing.AllocsPerRun(50, func() { _ = tr.VerifyContent(a, &fetched) }); n != 0 {
+			t.Errorf("%d-bit: VerifyContent allocates %.1f times per call, want 0", bits, n)
+		}
+	}
+}
+
 func TestSpoofingDetected(t *testing.T) {
 	m, tr := testTree(t, 128)
 	m.TamperBytes(0x2000, []byte{0xff, 0xfe})

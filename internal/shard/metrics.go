@@ -186,17 +186,17 @@ func (p *Pool) WriteMetrics(w io.Writer) {
 	fields := []field{
 		{"secmemd_core_block_reads_total", "Controller block fetches.", func(cs core.Stats) uint64 { return cs.BlockReads }},
 		{"secmemd_core_block_writes_total", "Controller block writebacks.", func(cs core.Stats) uint64 { return cs.BlockWrites }},
-		{"secmemd_core_pad_gens_total", "Counter-mode pad generations.", func(cs core.Stats) uint64 { return cs.PadGens }},
-		{"secmemd_core_mac_ops_total", "HMAC computations.", func(cs core.Stats) uint64 { return cs.MACOps }},
-		{"secmemd_core_tree_updates_total", "Merkle tree update walks.", func(cs core.Stats) uint64 { return cs.TreeUpdates }},
-		{"secmemd_core_tree_verifies_total", "Merkle tree verification walks.", func(cs core.Stats) uint64 { return cs.TreeVerifies }},
+		{"secmemd_core_pad_gens_total", "Counter-mode pad generations performed (a verification sweep decrypts nothing and generates none).", func(cs core.Stats) uint64 { return cs.PadGens }},
+		{"secmemd_core_mac_ops_total", "HMAC computations performed: data MACs plus tree node hashes.", func(cs core.Stats) uint64 { return cs.MACOps }},
+		{"secmemd_core_tree_updates_total", "Merkle tree leaf updates issued: one per written page span for the Bonsai counter block, one per data block under the standard tree.", func(cs core.Stats) uint64 { return cs.TreeUpdates }},
+		{"secmemd_core_tree_verifies_total", "Merkle tree verification walks performed: one per fetched page span for the Bonsai counter block, one per data block under the standard tree.", func(cs core.Stats) uint64 { return cs.TreeVerifies }},
 		{"secmemd_core_page_reencrypts_total", "Minor-counter overflow page re-encryptions.", func(cs core.Stats) uint64 { return cs.PageReencrypts }},
 		{"secmemd_core_swap_outs_total", "Pages swapped out.", func(cs core.Stats) uint64 { return cs.SwapOuts }},
 		{"secmemd_core_swap_ins_total", "Pages swapped in.", func(cs core.Stats) uint64 { return cs.SwapIns }},
-		{"secmemd_core_ctr_cache_hits_total", "Counter-cache model hits.", func(cs core.Stats) uint64 { return cs.CtrCacheHits }},
-		{"secmemd_core_ctr_cache_misses_total", "Counter-cache model misses.", func(cs core.Stats) uint64 { return cs.CtrCacheMisses }},
-		{"secmemd_core_tree_node_cache_hits_total", "Tree-node-cache model hits.", func(cs core.Stats) uint64 { return cs.TreeNodeCacheHits }},
-		{"secmemd_core_tree_node_cache_misses_total", "Tree-node-cache model misses.", func(cs core.Stats) uint64 { return cs.TreeNodeCacheMiss }},
+		{"secmemd_core_ctr_cache_hits_total", "Counter-cache model hits, per block accessed: a span of n blocks counts one lookup and n-1 hits.", func(cs core.Stats) uint64 { return cs.CtrCacheHits }},
+		{"secmemd_core_ctr_cache_misses_total", "Counter-cache model misses, per block accessed: only the lookup that opens a span can miss.", func(cs core.Stats) uint64 { return cs.CtrCacheMisses }},
+		{"secmemd_core_tree_node_cache_hits_total", "Tree-node-cache model hits over the nodes of the walks performed.", func(cs core.Stats) uint64 { return cs.TreeNodeCacheHits }},
+		{"secmemd_core_tree_node_cache_misses_total", "Tree-node-cache model misses over the nodes of the walks performed.", func(cs core.Stats) uint64 { return cs.TreeNodeCacheMiss }},
 
 		// The batched tree-update engine's real work (not the cache model
 		// above): one family per counter so dashboards can derive the

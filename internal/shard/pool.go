@@ -392,8 +392,9 @@ func (p *Pool) Roots() [][]byte {
 }
 
 // Close drains the pool: it stops accepting requests, waits for every
-// queued request to execute, runs a final integrity sweep over every
-// shard, and stops the workers. It returns the first verification error.
+// queued request to execute, stops the workers, and runs a final integrity
+// sweep over every shard. It returns the lowest-numbered shard's
+// verification error.
 func (p *Pool) Close() error {
 	p.sendMu.Lock()
 	if p.closed {
@@ -410,16 +411,27 @@ func (p *Pool) Close() error {
 	for _, sh := range p.shards {
 		<-sh.done
 	}
-	var firstErr error
-	for i, sh := range p.shards {
-		sh.mu.Lock()
-		err := sh.sm.VerifyAll()
-		sh.mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shard %d: close verify: %w", i, err)
+	// The workers are gone and the controllers are independent: sweep them
+	// concurrently, as Verify does, and report the lowest-numbered failure.
+	errs := make([]error, len(p.shards))
+	var wg sync.WaitGroup
+	for i := range p.shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sh := p.shards[i]
+			sh.mu.Lock()
+			errs[i] = sh.sm.VerifyAll()
+			sh.mu.Unlock()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("shard %d: close verify: %w", i, err)
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // worker is a shard's execution loop: it blocks for one request, then

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"aisebmt/internal/core"
@@ -350,5 +351,30 @@ func TestPoolConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestCloseSweepsEveryShard: the final sweep runs on all shards at once and
+// still reports the lowest-numbered shard that fails it.
+func TestCloseSweepsEveryShard(t *testing.T) {
+	p := newTestPool(t, Config{Shards: 4})
+	ctx := context.Background()
+	msg := bytes.Repeat([]byte{0x5a}, layout.PageSize)
+	for s := 0; s < 4; s++ {
+		if err := p.Write(ctx, layout.Addr(s)*layout.PageSize, msg, core.Meta{}); err != nil {
+			t.Fatalf("Write shard %d: %v", s, err)
+		}
+	}
+	// Pool page s is shard s's local page 0: flip a ciphertext bit on
+	// shards 3 and 1, in that order.
+	for _, s := range []int{3, 1} {
+		p.UntrustedMemory(s).TamperBytes(0x40, []byte{0xff})
+	}
+	err := p.Close()
+	if !errors.Is(err, core.ErrTampered) {
+		t.Fatalf("Close = %v, want core.ErrTampered", err)
+	}
+	if !strings.HasPrefix(err.Error(), "shard 1:") {
+		t.Fatalf("Close = %v, want the lowest-numbered failing shard (1) named", err)
 	}
 }
