@@ -8,8 +8,9 @@
 #   make fuzz            a short fuzz session on the wire codec
 #   make fuzz-smoke      brief fuzz pass over every decoder that parses
 #                        untrusted bytes (wire, WAL record, sealed anchor,
-#                        counter block) and the controller's byte-granular
-#                        span path; CI runs this after check
+#                        counter block, tenant journal restore) and the
+#                        controller's byte-granular span path; CI runs
+#                        this after check
 #   make bench           service benchmark: start secmemd, drive it with
 #                        loadgen, write BENCH_service.json
 #   make bench-recovery  crash-recovery benchmark: restart-to-first-byte vs
@@ -86,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run=none -fuzz=FuzzAgainstStdlib -fuzztime=5s ./internal/crypto/sha1/
 	$(GO) test -run=none -fuzz=FuzzDecodeEncode -fuzztime=5s ./internal/counter/
 	$(GO) test -run=none -fuzz=FuzzWriteRead -fuzztime=5s ./internal/core/
+	$(GO) test -run=none -fuzz=FuzzRestore -fuzztime=5s ./internal/tenant/journal/
 
 chaos: build
 	$(GO) run ./cmd/chaos -rounds 3

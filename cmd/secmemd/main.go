@@ -67,7 +67,7 @@ func main() {
 	macBits := flag.Int("macbits", 128, "MAC width in bits (32, 64, 128, 256)")
 	swapSlots := flag.Int("swapslots", 64, "Page Root Directory slots per shard (0 disables swap)")
 	residentPages := flag.Int("resident-pages", 0, "tenant memory-pressure budget: swap cold tenant pages out once more than this many are resident (0 disables the controller; requires a swap-capable scheme)")
-	tenantDurable := flag.Bool("tenant-durable", true, "journal tenant address spaces through -data-dir so a restarted daemon serves every acknowledged tenant byte (no effect without -data-dir; mixing the raw swapout/swapin wire ops into a tenant-durable daemon is unsupported)")
+	tenantDurable := flag.Bool("tenant-durable", true, "journal tenant address spaces through -data-dir with the pool's -fsync guarantee: a restarted daemon serves every acknowledged tenant byte after a process crash, and after a power cut too under -fsync always (batch/off roll tenants back to a consistent prefix); no effect without -data-dir; the raw swapout/swapin wire ops are refused")
 	tenantSerialize := flag.Bool("tenant-serialize", false, "serialize every tenant operation under one global mutex (the pre-per-tenant-locking baseline, kept for A/B benchmarks)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout (queueing included)")
 	hibPath := flag.String("hibernate", "secmemd.hib", "file the hibernate operation writes the pool image to (ignored with -data-dir)")

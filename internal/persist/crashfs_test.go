@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -13,13 +14,16 @@ import (
 // crashFS is an in-memory FS that models power loss, which a SIGKILL'd
 // process on a real filesystem cannot (the page cache survives the
 // process): Crash() drops every write since each file's last Sync and
-// reverts every directory operation since the last SyncDir. It also
-// injects faults: after failAfter mutating operations every call fails,
-// simulating the instant the power went out mid-sequence.
+// reverts every directory operation since the last SyncDir; writeback()
+// instead keeps a random prefix of each file's unsynced writes, the way
+// page-cache writeback reaches the disk file by file in no particular
+// order. It also injects faults: after failAfter mutating operations every
+// call fails, simulating the instant the power went out mid-sequence.
 type crashFS struct {
 	mu      sync.Mutex
 	files   map[string]*memFile
 	journal []func() // revert actions for un-synced directory ops, newest last
+	gen     int      // bumped by writeback: handles of the dead process stop working
 
 	failAfter  int    // countdown of mutating ops; <0 disables injection
 	failOnce   bool   // fail only the op that trips failAfter, then recover
@@ -30,8 +34,15 @@ type crashFS struct {
 var errInjected = errors.New("crashfs: injected power failure")
 
 type memFile struct {
-	data   []byte
-	synced []byte
+	data    []byte
+	synced  []byte
+	pending []func([]byte) []byte // unsynced writes and truncations, oldest first
+}
+
+// note records an unsynced mutation of f; callers hold the FS mutex.
+func (f *memFile) note(op func([]byte) []byte) {
+	f.data = op(f.data)
+	f.pending = append(f.pending, op)
 }
 
 func newCrashFS() *crashFS {
@@ -87,11 +98,59 @@ func (c *crashFS) crash() {
 	c.journal = nil
 	for _, f := range c.files {
 		f.data = append([]byte(nil), f.synced...)
+		f.pending = nil
 	}
 	c.failAfter = -1
 	c.failOnce = false
 	c.failSubstr = ""
 	c.failed = false
+}
+
+// writeback is a power cut under independent page-cache writeback: every
+// file keeps a seeded random prefix of its unsynced writes (files are
+// visited in name order, so a seed always cuts the same way), un-synced
+// directory operations are reverted, and every handle open until now goes
+// dead — the process that held them is gone. Half the files keep none or
+// all of their writes, the extremes where one log outruns another most.
+// It returns how many unsynced writes were dropped.
+func (c *crashFS) writeback(seed int64) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := len(c.journal) - 1; i >= 0; i-- {
+		c.journal[i]()
+	}
+	c.journal = nil
+	names := make([]string, 0, len(c.files))
+	for n := range c.files {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	rng := rand.New(rand.NewSource(seed))
+	dropped := 0
+	for _, n := range names {
+		f := c.files[n]
+		keep := 0
+		switch rng.Intn(4) {
+		case 0:
+		case 1:
+			keep = len(f.pending)
+		default:
+			keep = rng.Intn(len(f.pending) + 1)
+		}
+		dropped += len(f.pending) - keep
+		f.data = append([]byte(nil), f.synced...)
+		for _, op := range f.pending[:keep] {
+			f.data = op(f.data)
+		}
+		f.synced = append([]byte(nil), f.data...)
+		f.pending = nil
+	}
+	c.gen++
+	c.failAfter = -1
+	c.failOnce = false
+	c.failSubstr = ""
+	c.failed = false
+	return dropped
 }
 
 // tick counts one mutating op on name against the fault budget; callers
@@ -127,13 +186,13 @@ func (c *crashFS) Create(name string) (File, error) {
 	}
 	f, ok := c.files[name]
 	if ok {
-		f.data = nil // truncate in place; synced content survives a crash
+		f.note(func([]byte) []byte { return nil }) // truncate in place; synced content survives a crash
 	} else {
 		f = &memFile{}
 		c.files[name] = f
 		c.journal = append(c.journal, func() { delete(c.files, name) })
 	}
-	return &memHandle{fs: c, f: f, name: name}, nil
+	return &memHandle{fs: c, f: f, name: name, gen: c.gen}, nil
 }
 
 func (c *crashFS) OpenFile(name string) (File, error) {
@@ -143,7 +202,7 @@ func (c *crashFS) OpenFile(name string) (File, error) {
 	if !ok {
 		return nil, fmt.Errorf("crashfs: open %s: %w", name, fs.ErrNotExist)
 	}
-	return &memHandle{fs: c, f: f, name: name}, nil
+	return &memHandle{fs: c, f: f, name: name, gen: c.gen}, nil
 }
 
 func (c *crashFS) ReadFile(name string) ([]byte, error) {
@@ -228,6 +287,7 @@ func (c *crashFS) mutate(name string, fn func([]byte) []byte) {
 	}
 	f.data = fn(append([]byte(nil), f.data...))
 	f.synced = append([]byte(nil), f.data...)
+	f.pending = nil
 }
 
 // memHandle is an open file; Write appends at the handle's own position.
@@ -236,6 +296,16 @@ type memHandle struct {
 	f    *memFile
 	name string
 	pos  int64
+	gen  int // the FS generation it was opened in (see writeback)
+}
+
+// tick is crashFS.tick for an operation through h, which fails once the
+// process that opened h has been power-cut away. Callers hold the FS mutex.
+func (h *memHandle) tick() error {
+	if h.gen != h.fs.gen {
+		return errInjected
+	}
+	return h.fs.tick(h.name)
 }
 
 func (h *memHandle) Write(p []byte) (int, error) {
@@ -247,37 +317,43 @@ func (h *memHandle) Write(p []byte) (int, error) {
 func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	if err := h.fs.tick(h.name); err != nil {
+	if err := h.tick(); err != nil {
 		return 0, err
 	}
-	if need := off + int64(len(p)); int64(len(h.f.data)) < need {
-		h.f.data = append(h.f.data, make([]byte, need-int64(len(h.f.data)))...)
-	}
-	copy(h.f.data[off:], p)
+	p = append([]byte(nil), p...)
+	h.f.note(func(b []byte) []byte {
+		if need := off + int64(len(p)); int64(len(b)) < need {
+			b = append(b, make([]byte, need-int64(len(b)))...)
+		}
+		copy(b[off:], p)
+		return b
+	})
 	return len(p), nil
 }
 
 func (h *memHandle) Truncate(size int64) error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	if err := h.fs.tick(h.name); err != nil {
+	if err := h.tick(); err != nil {
 		return err
 	}
-	if int64(len(h.f.data)) > size {
-		h.f.data = h.f.data[:size]
-	} else {
-		h.f.data = append(h.f.data, make([]byte, size-int64(len(h.f.data)))...)
-	}
+	h.f.note(func(b []byte) []byte {
+		if int64(len(b)) > size {
+			return b[:size]
+		}
+		return append(b, make([]byte, size-int64(len(b)))...)
+	})
 	return nil
 }
 
 func (h *memHandle) Sync() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	if err := h.fs.tick(h.name); err != nil {
+	if err := h.tick(); err != nil {
 		return err
 	}
 	h.f.synced = append([]byte(nil), h.f.data...)
+	h.f.pending = nil
 	return nil
 }
 

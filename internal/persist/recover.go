@@ -67,47 +67,48 @@ func (st *Store) Recover(cfg shard.Config) (*shard.Pool, RecoveryInfo, error) {
 	}
 
 	st.initWriters(pool.Shards())
-	// With the aux journal enabled, the replay also collects the structural
-	// events (swap-outs with their regenerated images, swap-ins, moves) the
-	// tenant layer needs to reconcile its journal against; see aux.go.
-	var auxEvents []AuxEvent
+	logs := make([]walLog, len(st.wals))
+	seqs := make([]uint64, len(st.wals))
 	for i, w := range st.wals {
 		hb, herr := st.fs.ReadFile(w.headPath)
 		if herr != nil {
 			return fail(fmt.Errorf("%w: WAL head for shard %d missing", ErrTrustTampered, i))
 		}
-		head, herr := chooseHead(st.key, hb, uint32(i))
-		if herr != nil {
-			return fail(herr)
+		if logs[i], err = st.scanLog(w, hb, anc); err != nil {
+			return fail(err)
 		}
-		if head.Epoch > anc.Epoch {
-			return fail(fmt.Errorf("%w: shard %d WAL head epoch %d is ahead of anchor epoch %d (anchor rolled back?)",
-				ErrTrustTampered, i, head.Epoch, anc.Epoch))
+		if l := &logs[i]; l.validLen > 0 && l.validLen < int64(len(l.file)) && st.opts.Logf != nil {
+			st.opts.Logf("shard %d: truncating %d bytes of torn WAL tail", i, int64(len(l.file))-l.validLen)
 		}
-		var recs []walRec
-		var seq uint64
-		var chain [sealSize]byte
-		var validLen int64
-		if head.Epoch == anc.Epoch {
-			wb, rerr := st.fs.ReadFile(w.path)
-			if rerr != nil {
-				wb = nil // scanWAL fails closed unless the head committed nothing
+		seqs[i] = logs[i].seq
+	}
+	// The tenant journal is scanned before any shard replays: its last
+	// released barrier bounds how far each shard WAL may replay (aux.go).
+	var aux auxLog
+	if st.aux.enabled {
+		if aux, err = st.scanAux(anc, seqs); err != nil {
+			return fail(err)
+		}
+		info.AuxCut = aux.cut
+		for i := range logs {
+			if aux.caps == nil {
+				break
 			}
-			recs, seq, chain, validLen, err = scanWAL(st.key, st.dataKey, wb, head)
-			if err != nil {
-				return fail(err)
-			}
-			if validLen > 0 && validLen < int64(len(wb)) {
-				if st.opts.Logf != nil {
-					st.opts.Logf("shard %d: truncating %d bytes of torn WAL tail", i, int64(len(wb))-validLen)
-				}
+			// Never below the sealed head: flushAux keeps every sealed shard
+			// position inside a durable barrier's claims.
+			if n := logs[i].cutTo(st.key, max(logs[i].head.Seq, aux.caps[i])); n > 0 && st.opts.Logf != nil {
+				st.opts.Logf("shard %d: dropping %d WAL records past the tenant journal's last barrier", i, n)
 			}
 		}
-		// head.Epoch < anc.Epoch: a checkpoint was interrupted after the
-		// new anchor became durable but before this shard's log reset.
-		// The snapshot supersedes the old log completely; start it fresh.
+	}
 
-		for _, r := range recs {
+	// With the aux journal enabled, the replay also collects the structural
+	// events (swap-outs with their regenerated images, swap-ins, moves) the
+	// tenant layer needs to reconcile its journal against; see aux.go.
+	var auxEvents []AuxEvent
+	for i, w := range st.wals {
+		l := &logs[i]
+		for _, r := range l.recs {
 			op, cerr := recToOp(r)
 			if cerr != nil {
 				return fail(fmt.Errorf("%w: shard %d: %v", ErrWALTampered, i, cerr))
@@ -129,30 +130,10 @@ func (st *Store) Recover(cfg shard.Config) (*shard.Pool, RecoveryInfo, error) {
 				}
 			}
 		}
-		info.WALRecords += seq
-		info.WALBytes += validLen
-
-		// Prime the writer to continue the verified log in place.
-		if validLen == 0 {
-			if err := func() error { w.mu.Lock(); defer w.mu.Unlock(); return w.reset(anc.Epoch) }(); err != nil {
-				return fail(fmt.Errorf("persist: shard %d WAL reset: %w", i, err))
-			}
-			continue
-		}
+		info.WALRecords += l.seq
+		info.WALBytes += l.validLen
 		w.mu.Lock()
-		err = w.reopen()
-		if err == nil {
-			err = w.f.Truncate(validLen)
-		}
-		if err == nil {
-			w.off = validLen
-			w.epoch = anc.Epoch
-			w.seq = seq
-			w.chain = chain
-			w.crypt = newWALCrypt(st.dataKey, anc.Epoch, w.shardIdx)
-			w.syncedSeq = head.Seq
-			err = w.syncAndPublish() // cover replayed-but-unsealed records
-		}
+		err := st.resume(w, anc.Epoch, l, aux.shardMode)
 		w.mu.Unlock()
 		if err != nil {
 			return fail(fmt.Errorf("persist: shard %d WAL reopen: %w", i, err))
@@ -160,7 +141,7 @@ func (st *Store) Recover(cfg shard.Config) (*shard.Pool, RecoveryInfo, error) {
 	}
 
 	if st.aux.enabled {
-		if err := st.recoverAux(anc, auxEvents); err != nil {
+		if err := st.recoverAux(anc, &aux, auxEvents); err != nil {
 			return fail(err)
 		}
 	}
@@ -219,6 +200,104 @@ func (st *Store) recoverFresh(cfg shard.Config, start time.Time) (*shard.Pool, R
 		st.opts.Logf("initialized fresh data dir: epoch 1, %d shards", info.Shards)
 	}
 	return pool, info, nil
+}
+
+// walLog is one log as recovery found it: its sealed head and every record
+// scanWAL accepted against it, before any is replayed.
+type walLog struct {
+	head     walHead
+	file     []byte
+	recs     []walRec
+	seq      uint64
+	chain    [sealSize]byte
+	validLen int64
+	cut      bool // valid records were dropped, not torn (cutTo)
+}
+
+// scanLog verifies a log against its sealed head (hb is the head file). A
+// head from an older epoch than the anchor — a checkpoint interrupted
+// after its anchor, before this log's reset — scans as empty: the
+// snapshot supersedes the old log completely.
+func (st *Store) scanLog(w *walWriter, hb []byte, anc anchor) (walLog, error) {
+	head, err := chooseHead(st.key, hb, w.shardIdx)
+	if err != nil {
+		return walLog{}, err
+	}
+	if head.Epoch > anc.Epoch {
+		return walLog{}, fmt.Errorf("%w: %s head epoch %d is ahead of anchor epoch %d (anchor rolled back?)",
+			ErrTrustTampered, w.name(), head.Epoch, anc.Epoch)
+	}
+	l := walLog{head: head}
+	if head.Epoch == anc.Epoch {
+		if l.file, err = st.fs.ReadFile(w.path); err != nil {
+			l.file = nil // scanWAL fails closed unless the head committed nothing
+		}
+		if l.recs, l.seq, l.chain, l.validLen, err = scanWAL(st.key, st.dataKey, l.file, head); err != nil {
+			return walLog{}, err
+		}
+	}
+	return l, nil
+}
+
+// cutTo drops every record past seq n and reports how many it dropped.
+func (l *walLog) cutTo(k []byte, n uint64) uint64 {
+	if n >= l.seq {
+		return 0
+	}
+	dropped := l.seq - n
+	l.recs = l.recs[:n]
+	l.validLen, l.chain = walPrefix(k, l.file, l.head, n)
+	l.seq = n
+	l.cut = true
+	return dropped
+}
+
+// resumeMode is what resume does with the records a log holds past its
+// sealed head.
+type resumeMode int
+
+const (
+	resumeSeal    resumeMode = iota // sync them and seal the head over them
+	resumeSync                      // sync them and leave the head where it is
+	resumeAsFound                   // leave them as found, for the flusher, a checkpoint or Close
+)
+
+// resume primes w, which the caller holds locked, to continue the
+// verified log l in place: cut the file to l's valid length, then treat
+// the records past the sealed head as mode says. A cut that dropped valid
+// records is synced whatever the mode, before anything can chain past it,
+// so a later crash cannot resurrect them under sequence numbers new
+// records reuse.
+func (st *Store) resume(w *walWriter, epoch uint64, l *walLog, mode resumeMode) error {
+	if l.validLen == 0 {
+		return w.reset(epoch)
+	}
+	if err := w.reopen(); err != nil {
+		return err
+	}
+	if err := w.f.Truncate(l.validLen); err != nil {
+		return err
+	}
+	if l.cut {
+		if err := w.f.Sync(); err != nil {
+			return err
+		}
+	}
+	w.off = l.validLen
+	w.epoch = epoch
+	w.seq = l.seq
+	w.chain = l.chain
+	w.crypt = newWALCrypt(st.dataKey, epoch, w.shardIdx)
+	w.syncedSeq = l.head.Seq
+	w.flushedSeq = l.head.Seq
+	w.poisoned = false
+	switch mode {
+	case resumeAsFound:
+		return nil
+	case resumeSync:
+		return w.syncTo(nil)
+	}
+	return w.syncAndPublish()
 }
 
 // recToOp converts a WAL record back into a pool mutation.

@@ -108,6 +108,14 @@ func (st *Store) rebuildShard(pool *shard.Pool, i int, epoch uint64) (*core.Secu
 		return nil, fmt.Errorf("%w: resume shard %d: %v", ErrSnapshotTampered, i, err)
 	}
 
+	// Under tenant-journal barriers a shard head may only be sealed within
+	// a durable barrier's claims (flushAux): the re-primed writer then syncs
+	// its records and leaves the head where it was.
+	mode := resumeSeal
+	if st.auxBarriers() {
+		mode = resumeSync
+	}
+
 	// Replay the shard's log over the snapshot and re-prime the writer,
 	// under its lock so the flusher cannot interleave. Same tolerance
 	// rules as recovery: a torn tail beyond the sealed head is truncated,
@@ -123,29 +131,12 @@ func (st *Store) rebuildShard(pool *shard.Pool, i int, epoch uint64) (*core.Secu
 	if err != nil {
 		return nil, fmt.Errorf("%w: WAL head for shard %d unreadable during repair: %v", ErrTrustTampered, i, err)
 	}
-	head, err := chooseHead(st.key, hb, uint32(i))
+	l, err := st.scanLog(w, hb, anc)
 	if err != nil {
 		return nil, err
 	}
-	if head.Epoch > anc.Epoch {
-		return nil, fmt.Errorf("%w: shard %d WAL head epoch %d is ahead of anchor epoch %d", ErrTrustTampered, i, head.Epoch, anc.Epoch)
-	}
-	var recs []walRec
-	var seq uint64
-	var chain [sealSize]byte
-	var validLen int64
-	if head.Epoch == anc.Epoch {
-		wb, rerr := st.fs.ReadFile(w.path)
-		if rerr != nil {
-			wb = nil // scanWAL fails closed unless the head committed nothing
-		}
-		recs, seq, chain, validLen, err = scanWAL(st.key, st.dataKey, wb, head)
-		if err != nil {
-			return nil, err
-		}
-	}
 	replayed := 0
-	for _, r := range recs {
+	for _, r := range l.recs {
 		op, cerr := recToOp(r)
 		if cerr != nil {
 			return nil, fmt.Errorf("%w: shard %d: %v", ErrWALTampered, i, cerr)
@@ -166,27 +157,8 @@ func (st *Store) rebuildShard(pool *shard.Pool, i int, epoch uint64) (*core.Secu
 
 	// The rebuilt controller is good; re-prime the writer to continue the
 	// verified log in place (fixing any poisoned/torn live state).
-	if validLen == 0 {
-		if err := w.reset(anc.Epoch); err != nil {
-			return nil, fmt.Errorf("persist: shard %d WAL reset during repair: %w", i, err)
-		}
-	} else {
-		if err := w.reopen(); err != nil {
-			return nil, fmt.Errorf("persist: shard %d WAL reopen during repair: %w", i, err)
-		}
-		if err := w.f.Truncate(validLen); err != nil {
-			return nil, fmt.Errorf("persist: shard %d WAL truncate during repair: %w", i, err)
-		}
-		w.off = validLen
-		w.epoch = anc.Epoch
-		w.seq = seq
-		w.chain = chain
-		w.crypt = newWALCrypt(st.dataKey, anc.Epoch, w.shardIdx)
-		w.syncedSeq = head.Seq
-		w.poisoned = false
-		if err := w.syncAndPublish(); err != nil { // cover replayed-but-unsealed records
-			return nil, fmt.Errorf("persist: shard %d WAL publish during repair: %w", i, err)
-		}
+	if err := st.resume(w, anc.Epoch, &l, mode); err != nil {
+		return nil, fmt.Errorf("persist: shard %d WAL reopen during repair: %w", i, err)
 	}
 	if st.opts.Logf != nil {
 		st.opts.Logf("shard %d rebuilt: %d WAL records replayed over epoch-%d snapshot, subtree re-verified", i, replayed, anc.Epoch)

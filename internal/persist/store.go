@@ -122,6 +122,7 @@ type RecoveryInfo struct {
 	WALRecords    uint64        `json:"wal_records"`
 	Replayed      uint64        `json:"replayed"`
 	ReplaySkipped uint64        `json:"replay_skipped"`
+	AuxCut        uint64        `json:"aux_cut"` // tenant journal records cut at a barrier (aux.go)
 	Elapsed       time.Duration `json:"elapsed_ns"`
 }
 
@@ -641,10 +642,15 @@ func (st *Store) gcSnapshots(current uint64) {
 }
 
 // startBackground launches the flusher (FsyncBatch) and the periodic
-// snapshotter (SnapshotEvery > 0).
+// snapshotter (SnapshotEvery > 0). With the aux journal on, the flusher
+// syncs the shard WALs, then the aux log and its head (flushAux).
 func (st *Store) startBackground() {
 	st.stopc = make(chan struct{})
 	if st.opts.Fsync == FsyncBatch {
+		flush := st.Flush
+		if st.aux.enabled {
+			flush = func() error { return st.flushAux(false) }
+		}
 		st.bg.Add(1)
 		go func() {
 			defer st.bg.Done()
@@ -653,7 +659,7 @@ func (st *Store) startBackground() {
 			for {
 				select {
 				case <-t.C:
-					if err := st.Flush(); err != nil && st.opts.Logf != nil {
+					if err := flush(); err != nil && st.opts.Logf != nil {
 						st.opts.Logf("wal flush: %v", err)
 					}
 				case <-st.stopc:
@@ -703,10 +709,19 @@ func (st *Store) Close() error {
 		close(st.stopc)
 		st.bg.Wait()
 	}
-	first := st.Flush()
-	if st.aux.enabled && st.aux.w != nil {
-		if err := st.SyncAux(); err != nil && first == nil {
-			first = err
+	var first error
+	if st.aux.enabled && st.aux.w != nil && st.opts.Fsync != FsyncAlways {
+		// Twice: the first pass frames and seals the final barrier, the
+		// second seals the shard heads up to its claims (flushAux).
+		if first = st.flushAux(true); first == nil {
+			first = st.flushAux(true)
+		}
+	} else {
+		first = st.Flush()
+		if st.aux.enabled && st.aux.w != nil {
+			if err := st.SyncAux(); err != nil && first == nil {
+				first = err
+			}
 		}
 	}
 	ws := st.wals

@@ -48,31 +48,38 @@ type tenantStack struct {
 }
 
 func openTenantStack(cfs *persist.CrashFS) (*tenantStack, error) {
+	ts, _, err := openTenantStackWith(cfs, persist.FsyncAlways, time.Hour) // deterministic: no background flusher
+	return ts, err
+}
+
+// openTenantStackWith is openTenantStack under any fsync policy over any
+// FS; interval is FsyncBatch's flusher period.
+func openTenantStackWith(fs persist.FS, pol persist.Policy, interval time.Duration) (*tenantStack, persist.RecoveryInfo, error) {
 	st, err := persist.Open(persist.Options{
 		Dir:           "data",
 		Key:           tenantMatrixKey,
-		Fsync:         persist.FsyncAlways,
-		FsyncInterval: time.Hour, // deterministic: no background flusher
-		RepairPoll:    -1,        // no online repair across simulated process death
-		FS:            cfs,
+		Fsync:         pol,
+		FsyncInterval: interval,
+		RepairPoll:    -1, // no online repair across simulated process death
+		FS:            fs,
 	})
 	if err != nil {
-		return nil, err
+		return nil, persist.RecoveryInfo{}, err
 	}
 	st.EnableAux()
-	pool, _, err := st.Recover(tenantMatrixCfg())
+	pool, info, err := st.Recover(tenantMatrixCfg())
 	if err != nil {
 		st.Close()
-		return nil, err
+		return nil, info, err
 	}
 	svc, err := tenant.Recover(tenant.Config{Pool: pool, Journal: st}, st.TakeAuxRecovery())
 	if err != nil {
 		pool.Close()
 		st.Close()
-		return nil, err
+		return nil, info, err
 	}
 	st.SetAuxSource(svc.FreezeOps, svc.ThawOps, svc.SnapshotState)
-	return &tenantStack{store: st, pool: pool, svc: svc}, nil
+	return &tenantStack{store: st, pool: pool, svc: svc}, info, nil
 }
 
 // crash abandons the stack the way a power cut leaves it: pool workers

@@ -183,7 +183,7 @@ func parseRecPayload(p []byte) (walRec, error) {
 		PID:  binary.LittleEndian.Uint32(p[17:21]),
 		Slot: binary.LittleEndian.Uint32(p[21:25]),
 	}
-	if (r.Kind < shard.MutWrite || r.Kind > shard.MutMove) && r.Kind != recKindAux {
+	if (r.Kind < shard.MutWrite || r.Kind > shard.MutMove) && r.Kind != recKindAux && r.Kind != recKindAuxBarrier {
 		return walRec{}, fmt.Errorf("persist: WAL record has unknown kind %d", p[0])
 	}
 	if len(p) > recFixedLen {
@@ -282,6 +282,27 @@ func scanWAL(k, dataKey []byte, file []byte, head walHead) (recs []walRec, seq u
 	return recs, seq, chain, int64(off), nil
 }
 
+// walPrefix returns the length and chain value of the first n records of
+// a log scanWAL has accepted against head (n at most the records it
+// returned), so recovery can cut the log there.
+func walPrefix(k []byte, file []byte, head walHead, n uint64) (int64, [sealSize]byte) {
+	off := walHeaderLen
+	chain := chainSeed(k, head.Epoch, head.Shard)
+	for i := uint64(0); i < n; i++ {
+		end := off + recFrameLen + int(binary.LittleEndian.Uint32(file[off:])) + sealSize
+		copy(chain[:], file[end-sealSize:end])
+		off = end
+	}
+	return int64(off), chain
+}
+
+// walPos is a position in one log: a sequence number and the chain value
+// the log reaches there.
+type walPos struct {
+	seq   uint64
+	chain [sealSize]byte
+}
+
 // walWriter is one shard's live log: an open WAL file plus its head file.
 // The shard worker appends through it (under the shard lock), the
 // background flusher syncs it, and checkpoints reset it; its own mutex
@@ -303,9 +324,10 @@ type walWriter struct {
 	chain [sealSize]byte
 	crypt *walCrypt // payload cipher for the current epoch
 
-	syncedSeq uint64 // last seq covered by a durable head
-	headSlot  int    // slot the next head write targets
-	scratch   []byte
+	syncedSeq  uint64 // last seq covered by a durable head
+	flushedSeq uint64 // last seq covered by a data sync (at or past syncedSeq)
+	headSlot   int    // slot the next head write targets
+	scratch    []byte
 
 	// poisoned marks a writer whose in-memory position no longer matches
 	// the file (a rewind failed). Nothing may be published from it until a
@@ -350,6 +372,7 @@ func (w *walWriter) rewind(off int64, seq uint64, chain [sealSize]byte) error {
 		return err
 	}
 	w.off, w.seq, w.chain = off, seq, chain
+	w.flushedSeq = seq
 	return nil
 }
 
@@ -369,16 +392,41 @@ func (w *walWriter) syncAndPublish() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	if err := w.writeHead(); err != nil {
+	w.flushedSeq = w.seq
+	if err := w.writeHead(w.seq, w.chain); err != nil {
 		return err
 	}
 	w.syncedSeq = w.seq
 	return nil
 }
 
-// writeHead seals the current position into the next head slot.
-func (w *walWriter) writeHead() error {
-	slot := encodeHead(w.key, walHead{Epoch: w.epoch, Shard: w.shardIdx, Seq: w.seq, Chain: w.chain})
+// syncTo makes every appended record durable and, when pos is non-nil and
+// ahead of the sealed head, seals the head at pos — a position at or
+// behind the writer's own, which lets the aux journal's flusher keep shard
+// heads within what a durable barrier covers (see flushAux).
+func (w *walWriter) syncTo(pos *walPos) error {
+	if w.poisoned {
+		return nil // see syncAndPublish
+	}
+	if w.seq != w.flushedSeq {
+		if err := w.f.Sync(); err != nil {
+			return err
+		}
+		w.flushedSeq = w.seq
+	}
+	if pos == nil || pos.seq <= w.syncedSeq {
+		return nil
+	}
+	if err := w.writeHead(pos.seq, pos.chain); err != nil {
+		return err
+	}
+	w.syncedSeq = pos.seq
+	return nil
+}
+
+// writeHead seals position (seq, chain) into the next head slot.
+func (w *walWriter) writeHead(seq uint64, chain [sealSize]byte) error {
+	slot := encodeHead(w.key, walHead{Epoch: w.epoch, Shard: w.shardIdx, Seq: seq, Chain: chain})
 	if _, err := w.headF.WriteAt(slot[:], int64(w.headSlot)*headSlotSize); err != nil {
 		return err
 	}
@@ -410,10 +458,19 @@ func (w *walWriter) reset(epoch uint64) error {
 	w.epoch = epoch
 	w.seq = 0
 	w.syncedSeq = 0
+	w.flushedSeq = 0
 	w.chain = chainSeed(w.key, epoch, w.shardIdx)
 	w.crypt = newWALCrypt(w.dataKey, epoch, w.shardIdx)
 	w.poisoned = false
-	return w.writeHead()
+	return w.writeHead(0, w.chain)
+}
+
+// name labels the log in errors.
+func (w *walWriter) name() string {
+	if w.shardIdx == auxShardIdx {
+		return "aux WAL"
+	}
+	return fmt.Sprintf("shard %d WAL", w.shardIdx)
 }
 
 // reopen ensures both file handles exist, creating the files if needed.

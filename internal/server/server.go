@@ -70,6 +70,10 @@ type TenantBackend interface {
 	Write(ctx context.Context, id uint32, vaddr uint64, data []byte, trace uint64) error
 	Map(ctx context.Context, srcID uint32, srcVaddr uint64, dstID uint32, dstVaddr uint64, trace uint64) error
 	StatsJSON() ([]byte, error)
+	// Journaled reports a durable tenant layer; the raw page-level swap
+	// ops are then refused, because they would move pages behind its
+	// journal.
+	Journaled() bool
 }
 
 // ClusterBackend is the optional membership-admin surface of a cluster
@@ -409,13 +413,17 @@ func (s *Server) dispatch(q *Request) *Response {
 			return fail(StatusInternal, err)
 		}
 		return &Response{Status: StatusOK, Data: data}
-	case OpSwapOut:
-		img, err := s.pool.SwapOut(ctx, layout.Addr(q.Addr), int(q.Slot))
-		if err != nil {
-			return failErr(err)
+	case OpSwapOut, OpSwapIn:
+		if tb := s.opts.Tenants; tb != nil && tb.Journaled() {
+			return fail(StatusUnsupported, fmt.Errorf("server: raw swap ops bypass the tenant journal of this tenant-durable daemon (%w)", core.ErrUnsupported))
 		}
-		return &Response{Status: StatusOK, Data: EncodeImage(img)}
-	case OpSwapIn:
+		if q.Op == OpSwapOut {
+			img, err := s.pool.SwapOut(ctx, layout.Addr(q.Addr), int(q.Slot))
+			if err != nil {
+				return failErr(err)
+			}
+			return &Response{Status: StatusOK, Data: EncodeImage(img)}
+		}
 		img, err := DecodeImage(q.Data)
 		if err != nil {
 			return fail(StatusBadRequest, err)

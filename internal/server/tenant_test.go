@@ -13,10 +13,18 @@ import (
 	"aisebmt/internal/layout"
 	"aisebmt/internal/shard"
 	"aisebmt/internal/tenant"
+	"aisebmt/internal/tenant/journal"
 )
 
 // startTenantServer boots a tenant-enabled service on a loopback port.
 func startTenantServer(t *testing.T, budget int) (string, *tenant.Service, func() error) {
+	t.Helper()
+	return startJournaledTenantServer(t, budget, nil)
+}
+
+// startJournaledTenantServer is startTenantServer with the tenant layer
+// journaling through j (nil: not durable).
+func startJournaledTenantServer(t *testing.T, budget int, j journal.Store) (string, *tenant.Service, func() error) {
 	t.Helper()
 	pool, err := shard.New(shard.Config{
 		Shards: 2,
@@ -31,7 +39,7 @@ func startTenantServer(t *testing.T, budget int) (string, *tenant.Service, func(
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
-	svc := tenant.New(tenant.Config{Pool: pool, ResidentPages: budget})
+	svc := tenant.New(tenant.Config{Pool: pool, ResidentPages: budget, Journal: j})
 	srv := New(pool, Options{Timeout: 2 * time.Second, Tenants: svc, Logf: t.Logf})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -293,6 +301,44 @@ func TestTenantTamperedSwapRefusedOverWire(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Cums.TamperRefused == 0 {
 		t.Fatal("refusal not counted")
+	}
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// discardJournal accepts every tenant-journal record and keeps none.
+type discardJournal struct{}
+
+func (discardJournal) AppendAux([]byte) error { return nil }
+func (discardJournal) SyncAux() error         { return nil }
+
+// TestRawSwapRefusedWhenTenantsJournaled: with a tenant journal armed, the
+// raw page-level swap ops would move pages behind the journal's back, so
+// they are answered Unsupported — and nothing moved.
+func TestRawSwapRefusedWhenTenantsJournaled(t *testing.T) {
+	addr, svc, shutdown := startJournaledTenantServer(t, 0, discardJournal{})
+	c, err := Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	id, err := c.TenantCreate(1)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	var se *StatusError
+	if _, err := c.SwapOut(0, 1); !errors.As(err, &se) || se.Status != StatusUnsupported {
+		t.Fatalf("raw swap-out on a tenant-durable daemon: %v, want StatusUnsupported", err)
+	}
+	if err := c.SwapIn(&core.PageImage{}, 0, 1); !errors.As(err, &se) || se.Status != StatusUnsupported {
+		t.Fatalf("raw swap-in on a tenant-durable daemon: %v, want StatusUnsupported", err)
+	}
+	if st := svc.Stats(); st.SwappedPages != 0 || st.ResidentPages != 1 {
+		t.Fatalf("a refused raw swap moved tenant pages: %+v", st)
+	}
+	if _, err := c.TenantRead(id, 0, 8); err != nil {
+		t.Fatalf("tenant read after refused swaps: %v", err)
 	}
 	if err := shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)

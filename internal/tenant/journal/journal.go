@@ -25,7 +25,8 @@ import (
 type Store interface {
 	// AppendAux buffers one opaque record in append order.
 	AppendAux(rec []byte) error
-	// SyncAux makes every buffered record durable, after the shard WALs.
+	// SyncAux binds every buffered record to the pool history it
+	// describes, under the store's fsync policy (persist.Store.SyncAux).
 	SyncAux() error
 }
 
@@ -87,8 +88,8 @@ func (l *Log) Dirty() bool {
 	return l.pending > 0 || l.err != nil
 }
 
-// Sync makes every appended record durable. It must succeed before the
-// operation that emitted the records is acknowledged.
+// Sync hands every appended record to the store's SyncAux. It must
+// succeed before the operation that emitted the records is acknowledged.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	if l.err != nil {

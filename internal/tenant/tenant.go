@@ -27,8 +27,9 @@
 //
 // Durability: with a journal configured, every structural mutation is
 // appended to the persist layer's auxiliary journal (see the journal
-// subpackage) and made durable before the operation is acknowledged, so
-// a SIGKILL at any instant loses no acknowledged tenant state.
+// subpackage) and bound to the pool's WALs before the operation is
+// acknowledged, so a SIGKILL at any instant loses no acknowledged tenant
+// state (Config.Journal says what a power cut keeps).
 package tenant
 
 import (
@@ -116,10 +117,12 @@ type Config struct {
 	// still swap when physical frames run out).
 	ResidentPages int
 	// Journal, when non-nil, makes tenants crash-recoverable: structural
-	// mutations are journaled through it and synced before every
-	// acknowledgement (*persist.Store implements it). Mixing the raw
-	// swap/migrate wire API into a tenant-durable daemon is unsupported —
-	// those mutations bypass the tenant journal.
+	// mutations are journaled through it and bound to the pool's WALs
+	// before every acknowledgement, under the store's fsync policy
+	// (*persist.Store implements it; see persist.Store.SyncAux). Tenant
+	// state then gets the pool's guarantee: under "always" no acknowledged
+	// state is lost, under "batch" and "off" it survives a process crash
+	// and a power cut rolls it back to a consistent prefix.
 	Journal journal.Store
 	// Serialize forces every operation through one global mutex — the
 	// pre-PR-10 concurrency model, kept as an A/B baseline for the churn
@@ -254,6 +257,11 @@ func (s *Service) beginOp() func() {
 	}
 }
 
+// Journaled reports whether tenant address spaces are journaled. The
+// server then refuses the raw page-level swap ops: they move pages behind
+// the journal's back, and recovery could not reconcile them.
+func (s *Service) Journaled() bool { return s.log != nil }
+
 // FreezeOps quiesces the service: it returns once no operation is in
 // flight and blocks new ones until ThawOps. The persistence layer wraps
 // checkpoints in this freeze so the sealed tenant section is cut against
@@ -328,13 +336,16 @@ func (s *Service) note(err error) {
 }
 
 // ack finishes an operation: with a journal configured, any structural
-// records it (or the pressure controller) emitted are made durable before
-// success is reported. This covers the subtle cases too — a read that
-// faulted pages in, a write that broke copy-on-write — because an
-// acknowledged write landing in a COW-split frame must survive a crash.
-func (s *Service) ack(err error) error {
+// records it (or the pressure controller) emitted are synced into the
+// journal before success is reported. This covers the subtle cases too — a
+// read that faulted pages in, a write that broke copy-on-write — because
+// an acknowledged write landing in a COW-split frame must survive a crash.
+// A write (wrote) syncs even when it emitted no record: under the relaxed
+// fsync policies recovery replays the pool only as far as the journal's
+// last barrier, so the write's pool commit needs one behind it.
+func (s *Service) ack(err error, wrote bool) error {
 	s.note(err)
-	if s.log != nil && s.log.Dirty() {
+	if s.log != nil && (wrote || s.log.Dirty()) {
 		if serr := s.log.Sync(); serr != nil && err == nil {
 			return serr
 		}
@@ -353,7 +364,7 @@ func (s *Service) Create(ctx context.Context, npages int, trace uint64) (uint32,
 	p := s.mgr.NewProcess()
 	if err := s.mgr.MapCtx(ctx, p, 0, npages); err != nil {
 		s.mgr.Exit(p) // release whatever was mapped before the failure
-		return 0, s.ack(err)
+		return 0, s.ack(err, false)
 	}
 	id := uint32(p.PID)
 	// Journal before registering: once the tenant is reachable, a
@@ -367,7 +378,7 @@ func (s *Service) Create(ctx context.Context, npages int, trace uint64) (uint32,
 	s.regMu.Unlock()
 	s.bump(func(c *cums) { c.Created++ })
 	s.enforce(ctx)
-	if err := s.ack(nil); err != nil {
+	if err := s.ack(nil, false); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -387,7 +398,7 @@ func (s *Service) Destroy(ctx context.Context, id uint32, trace uint64) error {
 		return fmt.Errorf("%w: id %d", ErrUnknownTenant, id)
 	}
 	if err := s.mgr.Exit(t.proc); err != nil {
-		return s.ack(err)
+		return s.ack(err, false)
 	}
 	t.dead = true
 	s.regMu.Lock()
@@ -397,7 +408,7 @@ func (s *Service) Destroy(ctx context.Context, id uint32, trace uint64) error {
 		s.log.TenantDestroyed(id)
 	}
 	s.bump(func(c *cums) { c.Destroyed++ })
-	return s.ack(nil)
+	return s.ack(nil, false)
 }
 
 // Fork clones a tenant copy-on-write and returns the child's ID: both
@@ -432,7 +443,7 @@ func (s *Service) Fork(ctx context.Context, id uint32, trace uint64) (uint32, er
 	s.regMu.Unlock()
 	s.bump(func(c *cums) { c.Forked++ })
 	s.enforce(ctx)
-	if err := s.ack(nil); err != nil {
+	if err := s.ack(nil, false); err != nil {
 		return 0, err
 	}
 	return cid, nil
@@ -471,7 +482,7 @@ func (s *Service) Read(ctx context.Context, id uint32, vaddr uint64, n int, trac
 	err = s.mgr.ReadCtx(ctx, t.proc, vaddr, buf)
 	t.mu.RUnlock()
 	s.enforce(ctx)
-	if err := s.ack(err); err != nil {
+	if err := s.ack(err, false); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -498,7 +509,7 @@ func (s *Service) Write(ctx context.Context, id uint32, vaddr uint64, data []byt
 	err = s.mgr.WriteCtx(ctx, t.proc, vaddr, data)
 	t.mu.RUnlock()
 	s.enforce(ctx)
-	return s.ack(err)
+	return s.ack(err, true)
 }
 
 // Map aliases one page of a source tenant into a destination tenant's
@@ -549,7 +560,7 @@ func (s *Service) Map(ctx context.Context, srcID uint32, srcVaddr uint64, dstID 
 		return fmt.Errorf("tenant: destination page %d beyond the %d-page limit", dvpn, MaxPages)
 	}
 	if err := s.mgr.MapSharedCtx(ctx, src.proc, srcVaddr, dst.proc, dstVaddr); err != nil {
-		return s.ack(err)
+		return s.ack(err, false)
 	}
 	if dvpn+1 > dst.npages {
 		dst.npages = dvpn + 1
@@ -559,7 +570,7 @@ func (s *Service) Map(ctx context.Context, srcID uint32, srcVaddr uint64, dstID 
 	}
 	s.bump(func(c *cums) { c.MapShared++ })
 	s.enforce(ctx)
-	return s.ack(nil)
+	return s.ack(nil, false)
 }
 
 // Migrate moves the frame behind one tenant page to a fresh frame in the
@@ -582,7 +593,7 @@ func (s *Service) Migrate(ctx context.Context, id uint32, vaddr uint64, trace ui
 		return err
 	}
 	err = s.mgr.MigrateCtx(ctx, t.proc, vaddr)
-	return s.ack(err)
+	return s.ack(err, false)
 }
 
 // ForceSwapOut evicts one tenant page to the swap device, regardless of
@@ -599,7 +610,7 @@ func (s *Service) ForceSwapOut(ctx context.Context, id uint32, vaddr uint64) err
 		return fmt.Errorf("%w: id %d", ErrUnknownTenant, id)
 	}
 	err = s.mgr.ForceSwapOutCtx(ctx, t.proc, vaddr)
-	return s.ack(err)
+	return s.ack(err, false)
 }
 
 // SwapSlotOf reports the swap slot holding a non-resident tenant page, or

@@ -82,6 +82,9 @@ func (m *Manager) ReplayMapped(pid PID, baseVPN uint64, frames []int) error {
 			return fmt.Errorf("vm: replay: frame %d already in use", frame)
 		}
 		vpn := baseVPN + uint64(i)
+		if vpn >= maxVPN {
+			return fmt.Errorf("vm: replay: page %d outside the address space", vpn)
+		}
 		if e := p.pages.get(vpn); e != nil && e.valid {
 			return fmt.Errorf("vm: replay: page %d already mapped", vpn)
 		}
@@ -160,6 +163,9 @@ func (m *Manager) ReplayShared(src PID, srcVPN uint64, dst PID, dstVPN uint64) e
 	if se == nil || !se.valid || !se.present {
 		return fmt.Errorf("vm: replay: source page %d of pid %d not resident", srcVPN, src)
 	}
+	if dstVPN >= maxVPN {
+		return fmt.Errorf("vm: replay: destination page %d outside the address space", dstVPN)
+	}
 	if e := dp.pages.get(dstVPN); e != nil && e.valid {
 		return fmt.Errorf("vm: replay: destination page %d of pid %d already mapped", dstVPN, dst)
 	}
@@ -213,6 +219,7 @@ func (m *Manager) ReplaySwapOut(frame, slot int, img *core.PageImage) error {
 		e.present = false
 		e.swapSlot = slot
 	}
+	m.park(slot, frame)
 	if m.frames[frame].used {
 		m.frames[frame] = frameInfo{}
 		m.inUse--
@@ -239,17 +246,10 @@ func (m *Manager) ReplaySwapIn(slot, frame int) error {
 	m.frames[frame] = frameInfo{used: true}
 	m.inUse++
 	m.fifo = append(m.fifo, frame)
-	for pid, p := range m.procs {
-		p.pages.walk(func(vpn uint64, pe *pte) {
-			if pe.valid && !pe.present && pe.swapSlot == slot {
-				pe.present = true
-				pe.frame = frame
-				m.frames[frame].owners = append(m.frames[frame].owners, owner{pid, vpn})
-			}
-		})
-	}
+	m.unpark(slot, frame)
 	m.swap.release(slot)
 	m.stats.SwapIns++
+	m.stats.PageFaults++ // every live swap-in is a fault-in
 	return nil
 }
 

@@ -81,7 +81,10 @@ func (m *Manager) Snapshot() ([]byte, error) {
 			if en.e.writable {
 				flags |= pteFlagWritable
 			}
-			if en.e.cow {
+			if en.e.cow && m.sharers(&en.e) > 1 {
+				// A copy-on-write page with no one left to share it behaves
+				// exactly like a private one (its next write reclaims it
+				// without copying, unjournaled), so it is encoded as one.
 				flags |= pteFlagCOW
 			}
 			if en.e.shared {
@@ -93,8 +96,9 @@ func (m *Manager) Snapshot() ([]byte, error) {
 		}
 	}
 
-	out = be32(out, uint32(len(m.fifo)))
-	for _, f := range m.fifo {
+	fifo := m.evictionOrder()
+	out = be32(out, uint32(len(fifo)))
+	for _, f := range fifo {
 		out = be64(out, uint64(f))
 	}
 
@@ -111,6 +115,35 @@ func (m *Manager) Snapshot() ([]byte, error) {
 		out = append(out, img...)
 	}
 	return out, nil
+}
+
+// sharers counts the mappings of e's page: the owners of its frame, or of
+// the swap slot it is parked on.
+func (m *Manager) sharers(e *pte) int {
+	if e.present {
+		return len(m.frames[e.frame].owners)
+	}
+	return len(m.parked[e.swapSlot])
+}
+
+// evictionOrder is the fifo as a snapshot records it: allocated frames
+// only, each at its latest allocation. The live queue also holds entries
+// of frames freed (and maybe reallocated) since, which evictOne skips or
+// pops lazily; journal replay never pops, so the live and the replayed
+// queue differ exactly there, and this form is the same for both.
+func (m *Manager) evictionOrder() []int {
+	seen := make(map[int]bool, m.inUse)
+	out := make([]int, 0, m.inUse)
+	for i := len(m.fifo) - 1; i >= 0; i-- {
+		if f := m.fifo[i]; m.frames[f].used && !seen[f] {
+			seen[f] = true
+			out = append(out, f)
+		}
+	}
+	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+		out[i], out[j] = out[j], out[i]
+	}
+	return out
 }
 
 // RestoreManager rebuilds a Manager over the given backing from a
@@ -146,10 +179,16 @@ func RestoreManager(b Backing, slotsPerGroup int, snap []byte) (*Manager, error)
 	nprocs := int(r.u32())
 	for i := 0; i < nprocs && r.err == nil; i++ {
 		pid := PID(r.u32())
+		if _, dup := m.procs[pid]; dup {
+			return nil, fmt.Errorf("vm: snapshot lists pid %d twice", pid)
+		}
 		p := &Process{PID: pid}
 		nents := int(r.u32())
 		for j := 0; j < nents && r.err == nil; j++ {
 			vpn := r.u64()
+			if p.pages.get(vpn) != nil {
+				return nil, fmt.Errorf("vm: snapshot maps page %d of pid %d twice", vpn, pid)
+			}
 			flags := r.u8()
 			frame := int(r.u64())
 			slot := int(r.u64())
@@ -162,6 +201,9 @@ func RestoreManager(b Backing, slotsPerGroup int, snap []byte) (*Manager, error)
 				swapSlot: slot,
 				valid:    true,
 			}
+			if vpn >= maxVPN {
+				return nil, fmt.Errorf("vm: snapshot page %d outside the address space", vpn)
+			}
 			if e.present {
 				if frame < 0 || frame >= len(m.frames) {
 					return nil, fmt.Errorf("vm: snapshot frame %d out of range", frame)
@@ -171,6 +213,8 @@ func RestoreManager(b Backing, slotsPerGroup int, snap []byte) (*Manager, error)
 					m.inUse++
 				}
 				m.frames[frame].owners = append(m.frames[frame].owners, owner{pid, vpn})
+			} else {
+				m.parked.add(slot, owner{pid, vpn})
 			}
 			p.pages.set(vpn, e)
 		}
@@ -179,7 +223,11 @@ func RestoreManager(b Backing, slotsPerGroup int, snap []byte) (*Manager, error)
 
 	nfifo := int(r.u32())
 	for i := 0; i < nfifo && r.err == nil; i++ {
-		m.fifo = append(m.fifo, int(r.u64()))
+		f := r.u64()
+		if f >= uint64(len(m.frames)) {
+			return nil, fmt.Errorf("vm: snapshot evicts frame %d out of range", f)
+		}
+		m.fifo = append(m.fifo, int(f))
 	}
 
 	nslots := int(r.u32())

@@ -142,6 +142,7 @@ func vmStressOracle(t *testing.T, seed int64) {
 				t.Fatalf("op %d: force swap: %v", op, err)
 			}
 		}
+		checkParked(t, op, m)
 	}
 
 	// Final audit: every mapped page of every process matches its shadow.
@@ -159,6 +160,45 @@ func vmStressOracle(t *testing.T, seed int64) {
 	st := m.Stats()
 	if st.SwapOuts == 0 || st.PageFaults == 0 {
 		t.Errorf("stress run exercised no paging: %+v", st)
+	}
+}
+
+// parkedByWalk is the oracle for the slot-owner index: every PTE parked
+// on a swap slot, found by walking every page table — what unmap, exit and
+// swap-in did before the index existed.
+func parkedByWalk(m *Manager) map[int][]owner {
+	out := map[int][]owner{}
+	for pid, p := range m.procs {
+		p.pages.walk(func(vpn uint64, e *pte) {
+			if e.valid && !e.present {
+				out[e.swapSlot] = append(out[e.swapSlot], owner{pid, vpn})
+			}
+		})
+	}
+	return out
+}
+
+// checkParked compares the slot-owner index against the page-table walk.
+func checkParked(t *testing.T, op int, m *Manager) {
+	t.Helper()
+	sorted := func(os []owner) []owner {
+		os = append([]owner(nil), os...)
+		sort.Slice(os, func(i, j int) bool {
+			return os[i].pid < os[j].pid || os[i].pid == os[j].pid && os[i].vpn < os[j].vpn
+		})
+		return os
+	}
+	want := parkedByWalk(m)
+	if len(want) != len(m.parked) {
+		t.Fatalf("op %d: slot index holds %d slots, the page tables park pages on %d", op, len(m.parked), len(want))
+	}
+	for slot, ws := range want {
+		if m.swap.slots[slot] == nil {
+			t.Fatalf("op %d: pages parked on empty slot %d", op, slot)
+		}
+		if got, w := sorted(m.parked[slot]), sorted(ws); fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Fatalf("op %d: slot %d owners %v, page tables say %v", op, slot, got, w)
+		}
 	}
 }
 

@@ -111,6 +111,33 @@ type frameInfo struct {
 	owners []owner
 }
 
+// slotOwners is the swapped-page counterpart of frameInfo.owners: for
+// each occupied swap slot, every (process, page) whose PTE is parked on
+// it. Keeping it beside the frame owners spares unmap, exit and swap-in a
+// walk of every page table to find a slot's sharers.
+type slotOwners map[int][]owner
+
+// add parks o on slot.
+func (s slotOwners) add(slot int, o owner) { s[slot] = append(s[slot], o) }
+
+// drop unparks o from slot and reports whether it was the slot's last
+// owner (the entry is then gone).
+func (s slotOwners) drop(slot int, o owner) bool {
+	os := s[slot]
+	for i, x := range os {
+		if x == o {
+			os = append(os[:i], os[i+1:]...)
+			break
+		}
+	}
+	if len(os) == 0 {
+		delete(s, slot)
+		return true
+	}
+	s[slot] = os
+	return false
+}
+
 // Process is an address space backed by a two-level radix page table.
 type Process struct {
 	PID   PID
@@ -201,7 +228,8 @@ type Manager struct {
 	sm      *core.SecureMemory // non-nil only when built by NewManager
 	groups  int                // swap-placement groups of the backing
 	frames  []frameInfo
-	inUse   int // frames currently allocated
+	parked  slotOwners // owners of every occupied swap slot
+	inUse   int        // frames currently allocated
 	procs   map[PID]*Process
 	swap    *SwapDevice
 	tlb     *TLB
@@ -234,6 +262,7 @@ func NewManagerOver(b Backing, slotsPerGroup int) *Manager {
 		mem:    b,
 		groups: groups,
 		frames: make([]frameInfo, nframes),
+		parked: slotOwners{},
 		procs:  make(map[PID]*Process),
 		swap:   newGroupedSwapDevice(groups, slotsPerGroup),
 		tlb:    NewTLB(64),
@@ -351,19 +380,32 @@ func (m *Manager) freeFrame(frame int) {
 // evictOne pushes the oldest allocated, unpinned frame (of the given
 // swap-placement group; -1 means any) to swap.
 func (m *Manager) evictOne(ctx context.Context, group int) error {
-	for scanned := 0; scanned <= len(m.fifo) && len(m.fifo) > 0; scanned++ {
-		victim := m.fifo[0]
-		m.fifo = m.fifo[1:]
+	for i := 0; i < len(m.fifo); i++ {
+		victim := m.fifo[i]
 		if !m.frames[victim].used {
+			m.dropFIFO(i) // a freed frame's stale entry
+			i--
 			continue
 		}
 		if m.frames[victim].pins > 0 || (group >= 0 && m.groupOfFrame(victim) != group) {
-			m.fifo = append(m.fifo, victim) // retry later, keep FIFO position
-			continue
+			continue // not now; it keeps its place in line
 		}
-		return m.swapOutFrame(ctx, victim)
+		if err := m.swapOutFrame(ctx, victim); err != nil {
+			return err
+		}
+		m.dropFIFO(i)
+		return nil
 	}
 	return errors.New("vm: no evictable frame")
+}
+
+// dropFIFO removes the eviction queue's i-th entry.
+func (m *Manager) dropFIFO(i int) {
+	if i == 0 {
+		m.fifo = m.fifo[1:]
+		return
+	}
+	m.fifo = append(m.fifo[:i], m.fifo[i+1:]...)
 }
 
 // EvictOne swaps out the oldest evictable frame. The service layer's
@@ -397,6 +439,7 @@ func (m *Manager) swapOutFrame(ctx context.Context, frame int) error {
 		e.swapSlot = slot
 		m.tlb.InvalidatePage(o.pid, o.vpn)
 	}
+	m.park(slot, frame)
 	m.frames[frame] = frameInfo{}
 	m.inUse--
 	m.stats.SwapOuts++
@@ -405,6 +448,26 @@ func (m *Manager) swapOutFrame(ctx context.Context, frame int) error {
 		m.sink.SwappedOut(frame, slot)
 	}
 	return nil
+}
+
+// park moves a frame's owners onto the swap slot its page went to; their
+// PTEs already point at the slot.
+func (m *Manager) park(slot, frame int) {
+	if os := m.frames[frame].owners; len(os) > 0 {
+		m.parked[slot] = os
+	}
+}
+
+// unpark re-points every PTE parked on slot at frame, whose owners they
+// become.
+func (m *Manager) unpark(slot, frame int) {
+	for _, o := range m.parked[slot] {
+		pe := m.procs[o.pid].pages.get(o.vpn)
+		pe.present = true
+		pe.frame = frame
+	}
+	m.frames[frame].owners = append(m.frames[frame].owners, m.parked[slot]...)
+	delete(m.parked, slot)
 }
 
 // swapInPage brings the page behind a PTE into a (possibly new) frame of
@@ -425,15 +488,7 @@ func (m *Manager) swapInPage(ctx context.Context, e *pte, o owner) error {
 	slot := e.swapSlot
 	// Re-point every mapping of this logical page (shared pages have
 	// several owners parked on the same slot).
-	for pid, p := range m.procs {
-		p.pages.walk(func(vpn uint64, pe *pte) {
-			if pe.valid && !pe.present && pe.swapSlot == slot {
-				pe.present = true
-				pe.frame = frame
-				m.frames[frame].owners = append(m.frames[frame].owners, owner{pid, vpn})
-			}
-		})
-	}
+	m.unpark(slot, frame)
 	if len(m.frames[frame].owners) == 0 {
 		m.frames[frame].owners = append(m.frames[frame].owners, o)
 	}
@@ -544,28 +599,14 @@ func (m *Manager) unmapLocked(p *Process, vaddr uint64, npages int) error {
 		e := p.pages.get(vpn + uint64(i))
 		if e.present {
 			m.dropOwner(e.frame, p.PID, vpn+uint64(i))
-		} else {
+		} else if m.parked.drop(e.swapSlot, owner{p.PID, vpn + uint64(i)}) {
 			// Last owner of a swapped page releases the slot.
-			if m.ownersOfSlot(e.swapSlot) == 1 {
-				m.swap.release(e.swapSlot)
-			}
+			m.swap.release(e.swapSlot)
 		}
 		p.pages.set(vpn+uint64(i), nil)
 		m.tlb.InvalidatePage(p.PID, vpn+uint64(i))
 	}
 	return nil
-}
-
-func (m *Manager) ownersOfSlot(slot int) int {
-	n := 0
-	for _, p := range m.procs {
-		p.pages.walk(func(_ uint64, e *pte) {
-			if e.valid && !e.present && e.swapSlot == slot {
-				n++
-			}
-		})
-	}
-	return n
 }
 
 func (m *Manager) dropOwner(frame int, pid PID, vpn uint64) {
@@ -684,15 +725,15 @@ func (m *Manager) forkInto(parent, child *Process) {
 			// one frame at fault-in and split on the first write.
 			e.cow = true
 			ce.cow = true
-			if e.present {
-				m.frames[e.frame].owners = append(m.frames[e.frame].owners, owner{child.PID, vpn})
-			}
 			m.tlb.InvalidatePage(parent.PID, vpn)
-		} else if e.present {
-			// Shared mappings stay shared (never COW), so the child is one
-			// more owner of the same frame and must be repointed with the
-			// rest if the frame is ever swapped out.
+		}
+		// Shared mappings stay shared (never COW): either way the child is
+		// one more owner of the frame or slot, repointed with the rest when
+		// the page moves.
+		if e.present {
 			m.frames[e.frame].owners = append(m.frames[e.frame].owners, owner{child.PID, vpn})
+		} else {
+			m.parked.add(e.swapSlot, owner{child.PID, vpn})
 		}
 		child.pages.set(vpn, &ce)
 	})

@@ -559,3 +559,28 @@ func TestUnmapSwappedPrivatePageFreesSlot(t *testing.T) {
 		t.Fatalf("slot not recycled: %v", err)
 	}
 }
+
+// TestEvictionKeepsPinnedFrameInLine: a frame pinned while an eviction
+// scans past it keeps its place in the FIFO instead of going to the back,
+// so the next eviction still takes the oldest frame. (Journal replay
+// cannot see pins; an order they reshuffled would not survive recovery.)
+func TestEvictionKeepsPinnedFrameInLine(t *testing.T) {
+	m := newVM(t, 3)
+	p := m.NewProcess()
+	if err := m.Map(p, 0, 3); err != nil { // frames 0, 1, 2 in FIFO order
+		t.Fatal(err)
+	}
+	c := m.Fork(p)
+	// The COW copy needs a frame: frame 0 (the source) is pinned, so
+	// frame 1 is evicted and frame 0 must stay at the head of the line.
+	if err := m.Write(c, 0, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EvictOne(); err != nil {
+		t.Fatal(err)
+	}
+	if m.IsResident(p, 0) || !m.IsResident(p, 2*layout.PageSize) {
+		t.Fatalf("eviction after a pinned scan took the wrong frame: page 0 resident=%v, page 2 resident=%v",
+			m.IsResident(p, 0), m.IsResident(p, 2*layout.PageSize))
+	}
+}
