@@ -3,14 +3,15 @@
 #   make check           vet + build + full test suite + race pass on the
 #                        concurrent packages (what CI and ROADMAP's tier-1
 #                        line run)
-#   make race            only the race pass (internal/shard, internal/server,
-#                        internal/persist)
+#   make race            only the race pass (internal/mem, internal/shard,
+#                        internal/server, internal/persist, ...)
 #   make fuzz            a short fuzz session on the wire codec
 #   make fuzz-smoke      brief fuzz pass over every decoder that parses
 #                        untrusted bytes (wire, WAL record, sealed anchor,
-#                        counter block, tenant journal restore) and the
-#                        controller's byte-granular span path; CI runs
-#                        this after check
+#                        counter block, tenant journal restore), the
+#                        controller's byte-granular span path and the
+#                        untrusted-memory model against its map oracle;
+#                        CI runs this after check
 #   make bench           service benchmark: start secmemd, drive it with
 #                        loadgen, write BENCH_service.json
 #   make bench-recovery  crash-recovery benchmark: restart-to-first-byte vs
@@ -71,7 +72,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/integrity/... ./internal/obs/... ./internal/shard/... ./internal/server/... ./internal/persist/... ./internal/cluster/... ./internal/chaos/... ./internal/vm/... ./internal/tenant/...
+	$(GO) test -race ./internal/mem/... ./internal/integrity/... ./internal/obs/... ./internal/shard/... ./internal/server/... ./internal/persist/... ./internal/cluster/... ./internal/chaos/... ./internal/vm/... ./internal/tenant/...
 
 fuzz:
 	$(GO) test -run=none -fuzz=FuzzRequestRoundTrip -fuzztime=20s ./internal/server/
@@ -88,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run=none -fuzz=FuzzDecodeEncode -fuzztime=5s ./internal/counter/
 	$(GO) test -run=none -fuzz=FuzzWriteRead -fuzztime=5s ./internal/core/
 	$(GO) test -run=none -fuzz=FuzzRestore -fuzztime=5s ./internal/tenant/journal/
+	$(GO) test -run=none -fuzz=FuzzMemoryOps -fuzztime=5s ./internal/mem/
 
 chaos: build
 	$(GO) run ./cmd/chaos -rounds 3
@@ -109,7 +111,7 @@ bench-integrity:
 	./scripts/bench_integrity.sh
 
 bench-smoke:
-	$(GO) test -run=none -bench . -benchtime 1x ./internal/crypto/... ./internal/counter/... ./internal/integrity/... ./internal/core/... ./internal/shard/... .
+	$(GO) test -run=none -bench . -benchtime 1x ./internal/mem/... ./internal/crypto/... ./internal/counter/... ./internal/integrity/... ./internal/core/... ./internal/shard/... .
 
 metrics-smoke: build
 	./scripts/metrics_smoke.sh

@@ -102,3 +102,15 @@ func TestLogHashEpochReset(t *testing.T) {
 		t.Error("second epoch checkpoint failed")
 	}
 }
+
+// TestLogHashSetupIsNotBusTraffic: the initial sweep is invisible on the
+// bus — no counted reads and no observer events.
+func TestLogHashSetupIsNotBusTraffic(t *testing.T) {
+	m := mem.New(1 << 20)
+	var events int
+	m.Observer = func(string, layout.Addr) { events++ }
+	NewLogHash(m, testKey, mem.Region{Name: "data", Base: 0, Size: 4 << 10})
+	if m.Reads != 0 || m.Writes != 0 || events != 0 {
+		t.Errorf("construction: %d reads, %d writes, %d bus events; want none", m.Reads, m.Writes, events)
+	}
+}

@@ -1,9 +1,10 @@
 // Package mem models the untrusted off-chip physical memory of the secure
-// processor. It is a sparse, block-granular byte store: everything outside
-// the processor chip in the paper's attack model lives here (data,
-// ciphertext, counter blocks, MACs, Merkle tree nodes, the page root
-// directory) and all of it can be observed and corrupted by an adversary via
-// the Tamper APIs.
+// processor. It is a page directory: one 4KiB frame per page, allocated on
+// the page's first store, plus one 64-bit mask per page recording which
+// blocks have ever been stored. Everything outside the processor chip in
+// the paper's attack model lives here (data, ciphertext, counter blocks,
+// MACs, Merkle tree nodes, the page root directory) and all of it can be
+// observed and corrupted by an adversary via the Tamper APIs.
 package mem
 
 import (
@@ -16,6 +17,15 @@ import (
 
 // Block is one 64-byte memory block.
 type Block [layout.BlockSize]byte
+
+// page is one page frame, exactly layout.PageSize bytes so that it fills
+// one allocator size class with nothing to spare. Its written mask lives
+// beside it in Memory.written: eight more bytes here would push every
+// frame into the next size class.
+type page [layout.BlocksPerPage]Block
+
+// zeroBlock is what a block of a never-stored page reads as.
+var zeroBlock Block
 
 // Region names a contiguous range of physical memory for accounting and
 // debug output.
@@ -30,15 +40,20 @@ func (r Region) Contains(a layout.Addr) bool {
 	return a >= r.Base && uint64(a-r.Base) < r.Size
 }
 
-// Memory is a sparse physical memory. Unwritten blocks read as zero, like
-// DRAM after a deterministic simulator reset. Memory is safe for concurrent
-// readers but writers require external synchronization at the memory
-// controller, mirroring a single memory channel.
+// Memory is a physical memory indexed by address arithmetic: page number,
+// then block within the page. Unwritten blocks read as zero, like DRAM
+// after a deterministic simulator reset, and reading them allocates
+// nothing. Memory is safe for concurrent readers but writers require
+// external synchronization at the memory controller, mirroring a single
+// memory channel; attacker Tamper/Snapshot calls may race the controller.
 type Memory struct {
-	mu      sync.RWMutex
-	size    uint64
-	blocks  map[layout.Addr]*Block
-	regions []Region
+	mu        sync.RWMutex
+	size      uint64
+	pages     []*page  // nil until the page's first store
+	written   []uint64 // per page: bit i set once block i has been stored
+	populated int      // set bits across written
+	resident  int      // non-nil entries of pages
+	regions   []Region
 
 	// Traffic counters (blocks transferred), maintained for experiments.
 	Reads  uint64
@@ -54,7 +69,8 @@ type Memory struct {
 
 // New creates a physical memory of the given byte size.
 func New(size uint64) *Memory {
-	return &Memory{size: size, blocks: make(map[layout.Addr]*Block)}
+	n := (size + layout.PageSize - 1) / layout.PageSize
+	return &Memory{size: size, pages: make([]*page, n), written: make([]uint64, n)}
 }
 
 // Size returns the physical memory size in bytes.
@@ -101,18 +117,74 @@ func (m *Memory) checkAddr(a layout.Addr) {
 	}
 }
 
+// checkSpan panics unless every block of the n > 0 bytes at a lies inside
+// memory, and returns the first and last block addresses.
+func (m *Memory) checkSpan(a layout.Addr, n int) (first, last layout.Addr) {
+	first, last = a.BlockAddr(), (a + layout.Addr(n-1)).BlockAddr()
+	m.checkAddr(first)
+	m.checkAddr(last)
+	return first, last
+}
+
+// load returns the block at a for reading; m.mu must be held.
+func (m *Memory) load(a layout.Addr) *Block {
+	if p := m.pages[a/layout.PageSize]; p != nil {
+		return &p[a.BlockInPage()]
+	}
+	return &zeroBlock
+}
+
+// store returns the block at a for writing, allocating its page and
+// marking the block stored; m.mu must be held for writing.
+func (m *Memory) store(a layout.Addr) *Block {
+	pi, bi := a/layout.PageSize, a.BlockInPage()
+	p := m.pages[pi]
+	if p == nil {
+		p = new(page)
+		m.pages[pi] = p
+		m.resident++
+	}
+	if bit := uint64(1) << bi; m.written[pi]&bit == 0 {
+		m.written[pi] |= bit
+		m.populated++
+	}
+	return &p[bi]
+}
+
+// copyIn stores src at a, crossing blocks as needed; m.mu must be held
+// for writing.
+func (m *Memory) copyIn(a layout.Addr, src []byte) {
+	for len(src) > 0 {
+		n := copy(m.store(a)[a%layout.BlockSize:], src)
+		src = src[n:]
+		a += layout.Addr(n)
+	}
+}
+
+// transfer counts and reports a processor-visible access to the blocks
+// first..last: a read of each, and a write of each if write is set.
+func (m *Memory) transfer(first, last layout.Addr, write bool) {
+	for a := first; a <= last; a += layout.BlockSize {
+		m.Reads++
+		if m.Observer != nil {
+			m.Observer("read", a)
+		}
+		if write {
+			m.Writes++
+			if m.Observer != nil {
+				m.Observer("write", a)
+			}
+		}
+	}
+}
+
 // ReadBlock copies the block at the (block-aligned) address into dst.
 func (m *Memory) ReadBlock(a layout.Addr, dst *Block) {
 	a = a.BlockAddr()
 	m.checkAddr(a)
 	m.mu.RLock()
-	b := m.blocks[a]
+	*dst = *m.load(a)
 	m.mu.RUnlock()
-	if b == nil {
-		*dst = Block{}
-	} else {
-		*dst = *b
-	}
 	m.Reads++
 	if m.Observer != nil {
 		m.Observer("read", a)
@@ -124,12 +196,7 @@ func (m *Memory) WriteBlock(a layout.Addr, src *Block) {
 	a = a.BlockAddr()
 	m.checkAddr(a)
 	m.mu.Lock()
-	b := m.blocks[a]
-	if b == nil {
-		b = &Block{}
-		m.blocks[a] = b
-	}
-	*b = *src
+	*m.store(a) = *src
 	m.mu.Unlock()
 	m.Writes++
 	if m.Observer != nil {
@@ -138,35 +205,51 @@ func (m *Memory) WriteBlock(a layout.Addr, src *Block) {
 }
 
 // Read copies n = len(dst) bytes starting at a, crossing blocks as needed.
+// It counts and reports one block read per block touched, as a loop of
+// ReadBlock calls would.
 func (m *Memory) Read(a layout.Addr, dst []byte) {
-	for len(dst) > 0 {
-		var blk Block
-		m.ReadBlock(a, &blk)
-		off := int(a) & (layout.BlockSize - 1)
-		n := copy(dst, blk[off:])
-		dst = dst[n:]
+	if len(dst) == 0 {
+		return
+	}
+	first, last := m.checkSpan(a, len(dst))
+	m.mu.RLock()
+	for p := dst; len(p) > 0; {
+		n := copy(p, m.load(a)[a%layout.BlockSize:])
+		p = p[n:]
 		a += layout.Addr(n)
 	}
+	m.mu.RUnlock()
+	m.transfer(first, last, false)
 }
 
-// Write stores src starting at a, crossing blocks as needed.
+// Write stores src starting at a, crossing blocks as needed. Each block
+// touched is counted and reported as a read followed by a write — the
+// read-modify-write a partial block needs on a block-granular bus.
 func (m *Memory) Write(a layout.Addr, src []byte) {
-	for len(src) > 0 {
-		var blk Block
-		m.ReadBlock(a, &blk)
-		off := int(a) & (layout.BlockSize - 1)
-		n := copy(blk[off:], src)
-		m.WriteBlock(a, &blk)
-		src = src[n:]
-		a += layout.Addr(n)
+	if len(src) == 0 {
+		return
 	}
+	first, last := m.checkSpan(a, len(src))
+	m.mu.Lock()
+	m.copyIn(a, src)
+	m.mu.Unlock()
+	m.transfer(first, last, true)
 }
 
-// PopulatedBlocks returns the number of blocks that have ever been written.
+// PopulatedBlocks returns the number of blocks that have ever been written,
+// counting blocks whose stored value is zero.
 func (m *Memory) PopulatedBlocks() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.blocks)
+	return m.populated
+}
+
+// ResidentBytes returns the bytes of page frames allocated so far: one
+// PageSize frame for every page that has ever had a block stored in it.
+func (m *Memory) ResidentBytes() uint64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return uint64(m.resident) * layout.PageSize
 }
 
 // Snapshot returns a deep copy of the block at a, or a zero block if never
@@ -177,12 +260,8 @@ func (m *Memory) Snapshot(a layout.Addr) Block {
 	a = a.BlockAddr()
 	m.checkAddr(a)
 	m.mu.RLock()
-	b := m.blocks[a]
-	m.mu.RUnlock()
-	if b == nil {
-		return Block{}
-	}
-	return *b
+	defer m.mu.RUnlock()
+	return *m.load(a)
 }
 
 // Tamper overwrites the block at a without going through the processor,
@@ -192,19 +271,17 @@ func (m *Memory) Tamper(a layout.Addr, b Block) {
 	a = a.BlockAddr()
 	m.checkAddr(a)
 	m.mu.Lock()
-	nb := b
-	m.blocks[a] = &nb
+	*m.store(a) = b
 	m.mu.Unlock()
 }
 
 // TamperBytes corrupts len(src) bytes at a, preserving surrounding bytes.
 func (m *Memory) TamperBytes(a layout.Addr, src []byte) {
-	for len(src) > 0 {
-		blk := m.Snapshot(a)
-		off := int(a) & (layout.BlockSize - 1)
-		n := copy(blk[off:], src)
-		m.Tamper(a, blk)
-		src = src[n:]
-		a += layout.Addr(n)
+	if len(src) == 0 {
+		return
 	}
+	m.checkSpan(a, len(src))
+	m.mu.Lock()
+	m.copyIn(a, src)
+	m.mu.Unlock()
 }

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"math/bits"
 
 	"aisebmt/internal/layout"
 )
@@ -22,42 +22,37 @@ var memMagic = [8]byte{'A', 'I', 'S', 'E', 'M', 'E', 'M', '1'}
 // ErrBadImage reports a malformed memory image.
 var ErrBadImage = errors.New("mem: malformed memory image")
 
-// Serialize writes the memory's populated blocks to w.
+// Serialize writes the memory's populated blocks to w. It walks the
+// written masks page by page under one read lock, so the image is one
+// consistent cut even while an attacker tampers concurrently.
 func (m *Memory) Serialize(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(memMagic[:]); err != nil {
-		return err
-	}
 	m.mu.RLock()
-	addrs := make([]layout.Addr, 0, len(m.blocks))
-	for a := range m.blocks {
-		addrs = append(addrs, a)
-	}
-	m.mu.RUnlock()
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], m.size)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(addrs)))
+	defer m.mu.RUnlock()
+	var hdr [24]byte
+	copy(hdr[0:8], memMagic[:])
+	binary.LittleEndian.PutUint64(hdr[8:16], m.size)
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(m.populated))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	for _, a := range addrs {
-		var ab [8]byte
-		binary.LittleEndian.PutUint64(ab[:], uint64(a))
-		if _, err := bw.Write(ab[:]); err != nil {
-			return err
-		}
-		blk := m.Snapshot(a)
-		if _, err := bw.Write(blk[:]); err != nil {
-			return err
+	var rec [8 + layout.BlockSize]byte
+	for pi, mask := range m.written {
+		for ; mask != 0; mask &= mask - 1 {
+			bi := bits.TrailingZeros64(mask)
+			binary.LittleEndian.PutUint64(rec[:8], uint64(pi)*layout.PageSize+uint64(bi)*layout.BlockSize)
+			copy(rec[8:], m.pages[pi][bi][:])
+			if _, err := bw.Write(rec[:]); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
 }
 
 // Deserialize loads an image into this memory, which must have the same
-// size and be otherwise unused. Existing blocks are replaced.
+// size and be otherwise unused. Existing blocks are replaced. The blocks
+// are installed under one write lock: a direct store, not program traffic.
 func (m *Memory) Deserialize(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -79,8 +74,10 @@ func (m *Memory) Deserialize(r io.Reader) error {
 	if count > size/layout.BlockSize {
 		return fmt.Errorf("%w: block count %d exceeds capacity", ErrBadImage, count)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var ab [8]byte
 	for i := uint64(0); i < count; i++ {
-		var ab [8]byte
 		if _, err := io.ReadFull(br, ab[:]); err != nil {
 			return fmt.Errorf("%w: truncated at block %d: %v", ErrBadImage, i, err)
 		}
@@ -92,7 +89,7 @@ func (m *Memory) Deserialize(r io.Reader) error {
 		if _, err := io.ReadFull(br, blk[:]); err != nil {
 			return fmt.Errorf("%w: truncated block %d: %v", ErrBadImage, i, err)
 		}
-		m.Tamper(a, blk) // direct store; not program traffic
+		*m.store(a) = blk
 	}
 	return nil
 }

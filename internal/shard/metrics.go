@@ -65,6 +65,9 @@ func newPoolMetrics(svc *obs.Service, p *Pool) *poolMetrics {
 		v := c.v
 		reg.CounterFunc(c.name, c.help, func() float64 { return float64(v.Load()) })
 	}
+	reg.GaugeFunc("secmemd_pool_untrusted_bytes",
+		"Untrusted off-chip memory allocated across shards, bytes: one 4096-byte frame per page ever stored to.",
+		func() float64 { return float64(p.untrustedBytes()) })
 	for i := range p.shards {
 		sh := p.shards[i]
 		reg.GaugeFunc("secmemd_shard_queue_depth",
@@ -151,6 +154,20 @@ func (p *Pool) CoreStats() []core.Stats {
 		sh.mu.Unlock()
 	}
 	return per
+}
+
+// untrustedBytes sums every shard's allocated untrusted-memory frames.
+// The memory maintains its page count under its own write lock, so the
+// scrape costs one brief shard-lock acquisition per shard and nothing on
+// the request path.
+func (p *Pool) untrustedBytes() uint64 {
+	var n uint64
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		n += sh.sm.Memory().ResidentBytes()
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // QueueDepths snapshots each shard's current queue occupancy.

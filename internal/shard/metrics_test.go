@@ -146,3 +146,36 @@ func TestTracedRequestAllocsNoWorse(t *testing.T) {
 		t.Errorf("traced write allocs/op = %.2f, plain = %.2f: tracing added heap work", tracedAllocs, plainAllocs)
 	}
 }
+
+// TestUntrustedBytesGauge: the scrape-time footprint gauge is the sum of
+// the shards' allocated page frames and grows when a write first touches
+// a page.
+func TestUntrustedBytesGauge(t *testing.T) {
+	svc := obs.NewService(4, 16)
+	p := newTestPool(t, Config{Shards: 4, Obs: svc})
+	defer p.Close()
+	scrape := func() float64 {
+		var buf bytes.Buffer
+		if err := svc.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return obs.ParseSamples(buf.String())["secmemd_pool_untrusted_bytes"]
+	}
+	sum := func() float64 {
+		var n uint64
+		for i := 0; i < p.Shards(); i++ {
+			n += p.UntrustedMemory(i).ResidentBytes()
+		}
+		return float64(n)
+	}
+	before := scrape()
+	if before != sum() || before <= 0 {
+		t.Fatalf("gauge = %v, shards hold %v bytes", before, sum())
+	}
+	if err := p.Write(context.Background(), 5*layout.PageSize, []byte("first touch"), core.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := scrape(); after != sum() || after <= before || int64(after)%layout.PageSize != 0 {
+		t.Errorf("after a first-touch write: gauge %v (was %v), shards hold %v", after, before, sum())
+	}
+}

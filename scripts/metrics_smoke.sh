@@ -38,6 +38,8 @@ echo "$SCRAPE" | grep -q '^secmemd_requests_total{op="read",status="ok"} [1-9]' 
     { echo "request counter did not move" >&2; exit 1; }
 echo "$SCRAPE" | grep -q '^secmemd_shard_state{shard="0",state="serving"} 1' ||
     { echo "pool scrape section missing" >&2; exit 1; }
+echo "$SCRAPE" | grep -q '^secmemd_pool_untrusted_bytes [1-9]' ||
+    { echo "untrusted memory gauge missing" >&2; exit 1; }
 echo "$SCRAPE" | grep -q '^secmemd_build_info{' ||
     { echo "build info gauge missing" >&2; exit 1; }
 
