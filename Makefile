@@ -9,16 +9,14 @@
 #   make fuzz-smoke      brief fuzz pass over every decoder that parses
 #                        untrusted bytes (wire, WAL record, sealed anchor,
 #                        counter block, tenant journal restore), the
-#                        controller's byte-granular span path and the
-#                        untrusted-memory model against its map oracle;
-#                        CI runs this after check
+#                        controller's byte-granular span path, the
+#                        untrusted-memory model against its map oracle and
+#                        the controller's AES/HMAC engines against the
+#                        from-scratch ciphers; CI runs this after check
 #   make bench           service benchmark: start secmemd, drive it with
 #                        loadgen, write BENCH_service.json
 #   make bench-recovery  crash-recovery benchmark: restart-to-first-byte vs
 #                        WAL length per fsync policy, BENCH_recovery.json
-#   make bench-crypto    crypto hot-path microbenchmarks: overhauled engines
-#                        vs their frozen reference implementations,
-#                        BENCH_crypto.json
 #   make bench-integrity Merkle tree update-engine benchmarks: batched,
 #                        coalescing passes vs the frozen serial reference
 #                        walk, plus e2e pool write throughput,
@@ -58,7 +56,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz fuzz-smoke bench bench-recovery bench-crypto bench-integrity bench-smoke chaos chaos-smoke metrics-smoke bench-cluster cluster-smoke lifecycle-smoke cluster tenant-smoke bench-tenants
+.PHONY: check vet build test race fuzz fuzz-smoke bench bench-recovery bench-integrity bench-smoke chaos chaos-smoke metrics-smoke bench-cluster cluster-smoke lifecycle-smoke cluster tenant-smoke bench-tenants
 
 check: vet build test race
 
@@ -86,6 +84,8 @@ fuzz-smoke:
 	$(GO) test -run=none -fuzz=FuzzAgainstStdlib -fuzztime=5s ./internal/crypto/aes/
 	$(GO) test -run=none -fuzz=FuzzAgainstStdlib -fuzztime=5s ./internal/crypto/hmac/
 	$(GO) test -run=none -fuzz=FuzzAgainstStdlib -fuzztime=5s ./internal/crypto/sha1/
+	$(GO) test -run=none -fuzz=FuzzEngineMatchesScratch -fuzztime=5s ./internal/encrypt/
+	$(GO) test -run=none -fuzz=FuzzEngineMatchesScratch -fuzztime=5s ./internal/integrity/
 	$(GO) test -run=none -fuzz=FuzzDecodeEncode -fuzztime=5s ./internal/counter/
 	$(GO) test -run=none -fuzz=FuzzWriteRead -fuzztime=5s ./internal/core/
 	$(GO) test -run=none -fuzz=FuzzRestore -fuzztime=5s ./internal/tenant/journal/
@@ -103,9 +103,6 @@ bench: build
 
 bench-recovery: build
 	./scripts/bench_recovery.sh
-
-bench-crypto:
-	./scripts/bench_crypto.sh
 
 bench-integrity:
 	./scripts/bench_integrity.sh

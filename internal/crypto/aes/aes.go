@@ -3,11 +3,14 @@
 // The secure processor modeled in this repository uses AES both as the
 // counter-mode pad generator (AISE and the baseline counter schemes) and as
 // the direct-encryption block cipher for the direct-mode baseline. The
-// implementation is self-contained: the S-box is derived at package
-// initialization from the multiplicative inverse in GF(2^8) followed by the
-// FIPS 197 affine transformation, and round keys are expanded with the
-// standard key schedule. Tests cross-check every code path against the Go
-// standard library and the FIPS 197 appendix vectors.
+// service controller (internal/encrypt) binds the standard library's
+// crypto/aes, which uses the CPU's AES instructions the way the paper's
+// controller uses its pipelined AES unit; this package is the readable
+// reference that the controller's tests check it against byte for byte.
+// The S-box is derived at package initialization from the multiplicative
+// inverse in GF(2^8) followed by the FIPS 197 affine transformation, and
+// round keys are expanded with the standard key schedule. Tests cross-check
+// it against the Go standard library and the FIPS 197 appendix vectors.
 package aes
 
 import (
@@ -156,28 +159,13 @@ func invMixWord(w uint32) uint32 {
 }
 
 // Encrypt encrypts the 16-byte block src into dst. dst and src may overlap
-// entirely or not at all. It uses the T-table fast path; the reference
-// state-array implementation below is cross-checked against it in tests.
+// entirely or not at all. It is the direct FIPS-197 state-array
+// implementation: each round is SubBytes, ShiftRows, MixColumns and
+// AddRoundKey written out over a 4×4 byte state.
 func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: input not full block")
 	}
-	c.encryptTTable(dst, src)
-}
-
-// EncryptRef encrypts one block with the reference state-array
-// implementation instead of the T-table path. Differential tests and the
-// bench harness use it as the frozen "old" implementation; production paths
-// never should.
-func (c *Cipher) EncryptRef(dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aes: input not full block")
-	}
-	c.encryptReference(dst, src)
-}
-
-// encryptReference is the direct FIPS-197 state-array implementation.
-func (c *Cipher) encryptReference(dst, src []byte) {
 	var st [4][4]byte // state[row][col]
 	for i := 0; i < 16; i++ {
 		st[i%4][i/4] = src[i]

@@ -189,35 +189,3 @@ func BenchmarkDecrypt(b *testing.B) {
 		c.Decrypt(buf, buf)
 	}
 }
-
-// TestTTableMatchesReference cross-checks the fast path against the direct
-// FIPS-197 implementation over random keys and blocks.
-func TestTTableMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for i := 0; i < 500; i++ {
-		key := make([]byte, KeySize)
-		rng.Read(key)
-		c, err := New(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain := make([]byte, BlockSize)
-		rng.Read(plain)
-		fast := make([]byte, BlockSize)
-		ref := make([]byte, BlockSize)
-		c.encryptTTable(fast, plain)
-		c.encryptReference(ref, plain)
-		if !bytes.Equal(fast, ref) {
-			t.Fatalf("divergence: key %x plain %x: ttable %x reference %x", key, plain, fast, ref)
-		}
-	}
-}
-
-func BenchmarkEncryptReference(b *testing.B) {
-	c, _ := New(fips197Key)
-	buf := make([]byte, BlockSize)
-	b.SetBytes(BlockSize)
-	for i := 0; i < b.N; i++ {
-		c.encryptReference(buf, buf)
-	}
-}

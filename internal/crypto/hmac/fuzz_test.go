@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// FuzzAgainstStdlib differentially fuzzes the midstate HMAC against
-// crypto/hmac over crypto/sha1 for any key (including long keys that get
-// pre-hashed) and message, at every supported tag width. Widths up to 160
-// bits must be prefixes of the stdlib tag; the 256-bit widening must equal
-// the frozen two-invocation domain-separated construction expressed in
-// stdlib terms.
+// FuzzAgainstStdlib differentially fuzzes the HMAC against crypto/hmac over
+// crypto/sha1 for any key (including long keys that get pre-hashed) and
+// message, at every supported tag width. Widths up to 160 bits must be
+// prefixes of the stdlib tag; the 256-bit widening must equal the
+// two-invocation domain-separated construction expressed in stdlib terms.
 func FuzzAgainstStdlib(f *testing.F) {
 	f.Add([]byte("k"), []byte("message"))
 	f.Add(make([]byte, 64), make([]byte, 0))
@@ -26,19 +25,10 @@ func FuzzAgainstStdlib(f *testing.F) {
 			t.Fatalf("MAC(%x, %x) = %x, stdlib %x", key, msg, got, want)
 		}
 
-		var k Keyed
-		k.Init(key)
 		for _, bits := range ValidSizes {
 			tag, err := Sized(key, msg, bits)
 			if err != nil {
 				t.Fatal(err)
-			}
-			dst := make([]byte, bits/8)
-			if err := k.SizedInto(dst, msg, bits); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(tag, dst) {
-				t.Fatalf("%d bits: Sized %x != Keyed.SizedInto %x", bits, tag, dst)
 			}
 			if bits <= 160 {
 				if !bytes.Equal(tag, want[:bits/8]) {

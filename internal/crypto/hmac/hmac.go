@@ -7,30 +7,22 @@
 // 256-bit MAC is produced by concatenating two domain-separated HMAC-SHA-1
 // invocations. DESIGN.md records this substitution: the experiments vary MAC
 // *width* (storage and traffic), which this construction preserves exactly.
+//
+// This is the readable reference construction. The service controller
+// (internal/integrity) tags with crypto/hmac over crypto/sha1 and its tests
+// check every width and message shape against Sized here.
 package hmac
 
 import (
-	"aisebmt/internal/crypto/sha1"
 	"errors"
+	"fmt"
+
+	"aisebmt/internal/crypto/sha1"
 )
 
-// MAC computes HMAC-SHA1(key, msg), returning the full 20-byte tag. It
-// performs no heap allocations; callers tagging many messages under one key
-// should still prefer Keyed, which pays the ipad/opad absorption once
-// instead of per call.
+// MAC computes HMAC-SHA1(key, msg), returning the full 20-byte tag: the
+// RFC 2104 derivation H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ msg)).
 func MAC(key, msg []byte) [sha1.Size]byte {
-	var k Keyed
-	k.Init(key)
-	return k.Sum(msg)
-}
-
-// macRef is the frozen pre-overhaul implementation: it re-derives ipad/opad
-// and re-absorbs the 64-byte key block on every call, over the reference
-// SHA-1 compression loop — exactly the stack MAC ran on before the Keyed
-// engine and the rolling-window compression existed. Tests cross-check MAC
-// and Keyed against it, and the bench harness reports its ratio to Keyed as
-// the old-vs-new HMAC delta.
-func macRef(key, msg []byte) [sha1.Size]byte {
 	var k [sha1.BlockSize]byte
 	if len(key) > sha1.BlockSize {
 		sum := sha1.Sum160(key)
@@ -43,14 +35,14 @@ func macRef(key, msg []byte) [sha1.Size]byte {
 		ipad[i] = k[i] ^ 0x36
 		opad[i] = k[i] ^ 0x5c
 	}
-	inner := sha1.NewRef()
+	var inner, outer sha1.Digest
 	inner.Write(ipad[:])
 	inner.Write(msg)
-	outer := sha1.NewRef()
+	var innerSum, out [sha1.Size]byte
+	inner.SumInto(&innerSum)
 	outer.Write(opad[:])
-	outer.Write(inner.Sum(nil))
-	var out [sha1.Size]byte
-	copy(out[:], outer.Sum(nil))
+	outer.Write(innerSum[:])
+	outer.SumInto(&out)
 	return out
 }
 
@@ -62,22 +54,20 @@ var ValidSizes = []int{32, 64, 128, 160, 256}
 var ErrMACSize = errors.New("hmac: unsupported MAC size")
 
 // Sized computes an HMAC tag truncated or widened to bits, which must be one
-// of ValidSizes. Widths ≤160 truncate HMAC-SHA-1; 256 concatenates two
-// domain-separated invocations and truncates to 32 bytes. The only
-// allocation is the returned slice; the 256-bit path streams the domain
-// byte instead of copying msg.
+// of ValidSizes. Widths ≤160 truncate HMAC-SHA-1; 256 concatenates
+// HMAC(key, 0x00 ‖ msg) and the first 12 bytes of HMAC(key, 0x01 ‖ msg).
 func Sized(key, msg []byte, bits int) ([]byte, error) {
-	n, err := widthBytes(bits)
-	if err != nil {
-		return nil, err
+	switch bits {
+	case 32, 64, 128, 160:
+		tag := MAC(key, msg)
+		return tag[:bits/8], nil
+	case 256:
+		t0 := MAC(key, append([]byte{0x00}, msg...))
+		t1 := MAC(key, append([]byte{0x01}, msg...))
+		return append(t0[:], t1[:12]...), nil
+	default:
+		return nil, fmt.Errorf("%w: %d bits", ErrMACSize, bits)
 	}
-	var k Keyed
-	k.Init(key)
-	out := make([]byte, n)
-	if err := k.SizedInto(out, msg, bits); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Equal reports whether two MACs are identical, comparing every byte

@@ -113,6 +113,28 @@ func TestTamperDetection(t *testing.T) {
 	}
 }
 
+// Test256WideningFrozen pins the widened construction bit-for-bit: the
+// 256-bit tag must equal HMAC(key, 0x00‖msg) ‖ HMAC(key, 0x01‖msg)[:12],
+// computed here with crypto/hmac over explicit prefix concatenation.
+func Test256WideningFrozen(t *testing.T) {
+	key := []byte("0123456789abcdef")
+	msg := []byte("minor counter block contents....")
+	var want []byte
+	for _, prefix := range []byte{0x00, 0x01} {
+		h := stdhmac.New(stdsha1.New, key)
+		h.Write(append([]byte{prefix}, msg...))
+		want = append(want, h.Sum(nil)...)
+	}
+	want = want[:32]
+	got, err := Sized(key, msg, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("256-bit widening changed:\n got %x\nwant %x", got, want)
+	}
+}
+
 func TestEqual(t *testing.T) {
 	if !Equal([]byte{1, 2, 3}, []byte{1, 2, 3}) {
 		t.Error("Equal on identical slices = false")

@@ -1,8 +1,11 @@
 // Package sha1 implements the SHA-1 hash (FIPS 180-1) from scratch.
 //
 // The paper's MAC computation models HMAC based on SHA-1 with an 80-cycle
-// hardware latency; this package provides the functional hash underneath
-// that model. Tests cross-check against the Go standard library.
+// hardware latency; this package is the readable FIPS 180-1 reference for
+// the hash underneath that model. The service controller (internal/integrity)
+// binds the standard library's crypto/sha1, and its tests check it against
+// this package byte for byte. Tests here cross-check against the Go
+// standard library.
 //
 // SHA-1 is used here for fidelity to the paper's 2007-era hardware
 // assumptions, not as a recommendation: the repository is a simulator of a
@@ -25,7 +28,6 @@ type Digest struct {
 	n   int    // bytes buffered in buf
 	len uint64 // total message length in bytes
 	ini bool
-	ref bool // compress with the reference FIPS loop instead of block.go
 }
 
 // New returns a new, initialized Digest.
@@ -33,25 +35,6 @@ func New() *Digest {
 	d := &Digest{}
 	d.Reset()
 	return d
-}
-
-// NewRef returns a Digest that compresses with the reference FIPS 180-1
-// loop (blockRef) instead of the rolling-window fast path. Differential
-// tests and the bench harness use it as the frozen "old" implementation;
-// production paths never should.
-func NewRef() *Digest {
-	d := New()
-	d.ref = true
-	return d
-}
-
-// compress dispatches one 64-byte block to the selected implementation.
-func (d *Digest) compress(p []byte) {
-	if d.ref {
-		d.blockRef(p)
-	} else {
-		d.block(p)
-	}
 }
 
 // Reset returns the digest to its initial state.
@@ -78,12 +61,12 @@ func (d *Digest) Write(p []byte) (int, error) {
 		d.n += c
 		p = p[c:]
 		if d.n == BlockSize {
-			d.compress(d.buf[:])
+			d.block(d.buf[:])
 			d.n = 0
 		}
 	}
 	for len(p) >= BlockSize {
-		d.compress(p[:BlockSize])
+		d.block(p[:BlockSize])
 		p = p[BlockSize:]
 	}
 	if len(p) > 0 {
@@ -102,51 +85,34 @@ func (d *Digest) Sum(b []byte) []byte {
 
 // SumInto writes the digest of everything written so far into out without
 // allocating. Like Sum, it does not modify the underlying state, so it can
-// be called repeatedly or interleaved with Write. The hot MAC paths use it
-// to finalize tags straight into caller scratch.
+// be called repeatedly or interleaved with Write.
 func (d *Digest) SumInto(out *[Size]byte) {
 	d.lazyInit()
-	// Work on a copy so finalization can repeat / interleave with Write.
-	cp := *d
-	cp.FinalInto(out)
-}
-
-// FinalInto finalizes the digest destructively into out, avoiding the state
-// copy SumInto makes: padding is written straight into the internal buffer
-// and compressed in place. After FinalInto the digest holds no meaningful
-// state — call Reset before reuse. The keyed-MAC hot path uses it on
-// midstate copies it owns, where the copy SumInto would make is pure waste.
-func (d *Digest) FinalInto(out *[Size]byte) {
-	d.lazyInit()
-	msgBits := d.len * 8
-	i := d.n
-	d.buf[i] = 0x80
+	cp := *d // finalize a copy: padding must not disturb the running state
+	msgBits := cp.len * 8
+	i := cp.n
+	cp.buf[i] = 0x80
 	i++
 	if i > 56 {
 		for ; i < BlockSize; i++ {
-			d.buf[i] = 0
+			cp.buf[i] = 0
 		}
-		d.compress(d.buf[:])
+		cp.block(cp.buf[:])
 		i = 0
 	}
 	for ; i < 56; i++ {
-		d.buf[i] = 0
+		cp.buf[i] = 0
 	}
-	binary.BigEndian.PutUint64(d.buf[56:], msgBits)
-	d.compress(d.buf[:])
-	d.n = 0
-	d.len = 0
-	for j, v := range d.h {
+	binary.BigEndian.PutUint64(cp.buf[56:], msgBits)
+	cp.block(cp.buf[:])
+	for j, v := range cp.h {
 		binary.BigEndian.PutUint32(out[4*j:], v)
 	}
 }
 
-// blockRef is the reference compression function: the direct FIPS 180-1
-// 80-iteration loop with the expanded message schedule. The rolling-window
-// implementation in block.go is the default; tests cross-check the two on
-// every width and the benchmark harness reports their ratio as the
-// old-vs-new SHA-1 delta.
-func (d *Digest) blockRef(p []byte) {
+// block is the compression function: the direct FIPS 180-1 80-iteration
+// loop with the expanded message schedule.
+func (d *Digest) block(p []byte) {
 	var w [80]uint32
 	for i := 0; i < 16; i++ {
 		w[i] = binary.BigEndian.Uint32(p[4*i:])

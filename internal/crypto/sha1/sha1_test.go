@@ -112,50 +112,6 @@ func TestBoundaryLengths(t *testing.T) {
 	}
 }
 
-// TestBlockMatchesReference cross-checks the rolling-window compression in
-// block.go against the direct FIPS 180-1 loop on random blocks and random
-// chaining states.
-func TestBlockMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		var fast, ref Digest
-		fast.Reset()
-		ref.Reset()
-		for j := range fast.h {
-			fast.h[j] = rng.Uint32()
-		}
-		ref.h = fast.h
-		var p [BlockSize]byte
-		rng.Read(p[:])
-		fast.block(p[:])
-		ref.blockRef(p[:])
-		if fast.h != ref.h {
-			t.Fatalf("iteration %d: fast %x != reference %x", i, fast.h, ref.h)
-		}
-	}
-}
-
-// TestRefDigestMatchesFast: a NewRef digest must produce identical output
-// to the default digest for arbitrary write patterns.
-func TestRefDigestMatchesFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 300; i++ {
-		fast, ref := New(), NewRef()
-		for parts := rng.Intn(4); parts >= 0; parts-- {
-			p := make([]byte, rng.Intn(150))
-			rng.Read(p)
-			fast.Write(p)
-			ref.Write(p)
-		}
-		var a, b [Size]byte
-		fast.SumInto(&a)
-		ref.SumInto(&b)
-		if a != b {
-			t.Fatalf("iteration %d: ref digest %x != fast digest %x", i, b, a)
-		}
-	}
-}
-
 // TestSumIntoMatchesSum: the allocation-free finalizer must agree with Sum
 // and be idempotent.
 func TestSumIntoMatchesSum(t *testing.T) {
@@ -203,8 +159,7 @@ func BenchmarkSum1K(b *testing.B) {
 	}
 }
 
-// BenchmarkBlock / BenchmarkBlockRef expose the compression-function ratio
-// the bench harness reports as the SHA-1 old-vs-new delta.
+// BenchmarkBlock measures one compression.
 func BenchmarkBlock(b *testing.B) {
 	var d Digest
 	d.Reset()
@@ -212,15 +167,5 @@ func BenchmarkBlock(b *testing.B) {
 	b.SetBytes(BlockSize)
 	for i := 0; i < b.N; i++ {
 		d.block(p[:])
-	}
-}
-
-func BenchmarkBlockRef(b *testing.B) {
-	var d Digest
-	d.Reset()
-	var p [BlockSize]byte
-	b.SetBytes(BlockSize)
-	for i := 0; i < b.N; i++ {
-		d.blockRef(p[:])
 	}
 }

@@ -8,12 +8,18 @@
 // processor's secret key and XORs it with the 16-byte chunk (C = P ⊕
 // E_K(seed)); security requires every seed to be unique across space and
 // time, which is exactly the property the different composers trade off.
+//
+// Both engines bind the standard library's crypto/aes, which runs on the
+// CPU's AES instructions: the software counterpart of the paper's
+// pipelined AES unit beside the memory controller. The from-scratch
+// internal/crypto/aes is the reference the tests check them against.
 package encrypt
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 
-	"aisebmt/internal/crypto/aes"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/mem"
 )
@@ -162,19 +168,33 @@ func (VirtSeed) Properties() Properties {
 // CounterMode is a counter-mode encryption engine: a block cipher keyed
 // with the processor secret plus a seed composer.
 type CounterMode struct {
-	cipher   *aes.Cipher
+	cipher   cipher.Block
 	composer Composer
 	pads     uint64
+
+	// seed and pad are the cipher's arguments. Slices passed through the
+	// cipher.Block interface escape, so they live here, in the engine's
+	// heap object, rather than on the caller's stack.
+	seed, pad [aes.BlockSize]byte
 }
 
 // NewCounterMode builds a counter-mode engine from the processor's secret
-// key and a seed composer.
+// key (AES-128) and a seed composer.
 func NewCounterMode(key []byte, c Composer) (*CounterMode, error) {
-	ci, err := aes.New(key)
+	ci, err := newCipher(key)
 	if err != nil {
 		return nil, err
 	}
 	return &CounterMode{cipher: ci, composer: c}, nil
+}
+
+// newCipher keys AES-128 with the processor secret. crypto/aes would also
+// take 24- and 32-byte keys; the modeled processor holds a 128-bit one.
+func newCipher(key []byte) (cipher.Block, error) {
+	if len(key) != 16 {
+		return nil, aes.KeySizeError(len(key))
+	}
+	return aes.NewCipher(key)
 }
 
 // Composer returns the engine's seed composer.
@@ -190,11 +210,12 @@ func (c *CounterMode) Pad(in SeedInput) [aes.BlockSize]byte {
 	return pad
 }
 
-// PadInto generates the cryptographic pad for one chunk straight into the
-// caller's buffer, avoiding the return-value copy on the per-block path.
+// PadInto generates the cryptographic pad for one chunk into the caller's
+// buffer, avoiding the return-value copy on the per-block path.
 func (c *CounterMode) PadInto(pad *[aes.BlockSize]byte, in SeedInput) {
-	seed := c.composer.Compose(in)
-	c.cipher.Encrypt(pad[:], seed[:])
+	c.seed = c.composer.Compose(in)
+	c.cipher.Encrypt(c.pad[:], c.seed[:])
+	*pad = c.pad
 	c.pads++
 }
 
@@ -229,13 +250,17 @@ func (c *CounterMode) DecryptBlock(dst, src *mem.Block, in SeedInput) {
 // the statistical leak that motivated counter mode — and decryption cannot
 // begin until the ciphertext arrives, exposing the full AES latency.
 type Direct struct {
-	cipher *aes.Cipher
+	cipher cipher.Block
 	ops    uint64
+
+	// in and out are the cipher's arguments, heap-resident for the same
+	// reason as CounterMode's seed and pad.
+	in, out [aes.BlockSize]byte
 }
 
 // NewDirect builds a direct-mode engine.
 func NewDirect(key []byte) (*Direct, error) {
-	ci, err := aes.New(key)
+	ci, err := newCipher(key)
 	if err != nil {
 		return nil, err
 	}
@@ -247,18 +272,22 @@ func (d *Direct) Ops() uint64 { return d.ops }
 
 // EncryptBlock enciphers each chunk in place (ECB over the block).
 func (d *Direct) EncryptBlock(dst, src *mem.Block) {
-	for chunk := 0; chunk < layout.ChunksPerBlock; chunk++ {
-		off := chunk * aes.BlockSize
-		d.cipher.Encrypt(dst[off:off+aes.BlockSize], src[off:off+aes.BlockSize])
-		d.ops++
-	}
+	d.each(dst, src, d.cipher.Encrypt)
 }
 
 // DecryptBlock deciphers each chunk in place.
 func (d *Direct) DecryptBlock(dst, src *mem.Block) {
+	d.each(dst, src, d.cipher.Decrypt)
+}
+
+// each runs one cipher direction over every chunk, staging each chunk
+// through the engine's scratch.
+func (d *Direct) each(dst, src *mem.Block, op func(dst, src []byte)) {
 	for chunk := 0; chunk < layout.ChunksPerBlock; chunk++ {
 		off := chunk * aes.BlockSize
-		d.cipher.Decrypt(dst[off:off+aes.BlockSize], src[off:off+aes.BlockSize])
+		copy(d.in[:], src[off:off+aes.BlockSize])
+		op(d.out[:], d.in[:])
+		copy(dst[off:off+aes.BlockSize], d.out[:])
 		d.ops++
 	}
 }

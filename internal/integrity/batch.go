@@ -16,9 +16,10 @@ import (
 // storage blocks, re-hash them (once each, however many children changed),
 // and install the results one level up — ending with exactly one root
 // update per batch. Each level's block hashes are independent, so they fan
-// out across a bounded worker pool; all stores and all memory reads stay on
-// the calling goroutine (mem.Memory's access counters are unsynchronized),
-// workers only run HMAC over prefetched scratch.
+// out across a bounded set of hashers; all stores and all memory reads stay
+// on the calling goroutine (mem.Memory's access counters are
+// unsynchronized), hashers only run HMAC over prefetched scratch, each with
+// its own MAC engine.
 
 // UpdateStats counts the batched engine's work, cumulatively.
 type UpdateStats struct {
@@ -72,6 +73,7 @@ type treeUpdater struct {
 	jobs  []hashJob
 	dirty []uint64 // distinct dirty block indices at the current level
 	next  []uint64 // same, one level up
+	crew  hashCrew
 }
 
 const (
@@ -178,49 +180,81 @@ func (t *Tree) UpdateBatch(addrs []layout.Addr, workers int) error {
 }
 
 // hashJobs computes every job's node MAC, fanning across up to workers
-// goroutines when the batch is big enough to pay for the handoff. Workers
-// share t.mac — hmac.Keyed's methods copy the precomputed midstates by
-// value, so concurrent SizedInto calls are safe — and write only their own
-// job's out buffer. MACOps accounting happens in the caller, once, to keep
-// the counter off the parallel path.
+// hashers (the calling goroutine plus workers-1 helpers) when the batch is
+// big enough to pay for the handoff. crypto/hmac state cannot be shared,
+// so the caller hashes with t.mac and each helper with its own engine from
+// the tree's crew; each hasher writes only its own jobs' out buffers.
+// MACOps accounting happens in the caller, once, to keep the counter off
+// the parallel path.
 func (t *Tree) hashJobs(jobs []hashJob, workers int) {
-	bits := t.g.MACBits
-	nb := t.g.MACBytes
-	if workers <= 1 || len(jobs) < minParallelJobs {
-		for i := range jobs {
-			if err := t.mac.SizedInto(jobs[i].out[:nb], jobs[i].content[:], bits); err != nil {
-				panic(err) // width validated in NewTree
-			}
-		}
-		return
-	}
+	c := &t.up.crew
+	c.jobs, c.bits = jobs, t.g.MACBits
+	c.next.Store(0)
 	if workers > (len(jobs)+jobChunk-1)/jobChunk {
 		workers = (len(jobs) + jobChunk - 1) / jobChunk
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				start := int(next.Add(jobChunk)) - jobChunk
-				if start >= len(jobs) {
-					return
-				}
-				end := start + jobChunk
-				if end > len(jobs) {
-					end = len(jobs)
-				}
-				for i := start; i < end; i++ {
-					if err := t.mac.SizedInto(jobs[i].out[:nb], jobs[i].content[:], bits); err != nil {
-						panic(err) // width validated in NewTree
-					}
-				}
-			}
-		}()
+	if workers <= 1 || len(jobs) < minParallelJobs {
+		c.drain(t.mac)
+		return
 	}
-	wg.Wait()
+	for len(c.helpers) < workers-1 {
+		c.helpers = append(c.helpers, hashHelper{crew: c, mac: newMACEngine(t.key)})
+	}
+	c.wg.Add(workers - 1)
+	for i := 0; i < workers-1; i++ {
+		go runHelper()
+		helperHandoff <- &c.helpers[i]
+	}
+	c.drain(t.mac)
+	c.wg.Wait()
+}
+
+// hashCrew is one tree's hash fan-out: the current level's jobs, the
+// shared claim cursor, and one MAC engine per helper, built on the first
+// fan-out that needs it and reused by every later batch.
+type hashCrew struct {
+	jobs    []hashJob
+	bits    int
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	helpers []hashHelper
+}
+
+type hashHelper struct {
+	crew *hashCrew
+	mac  *macEngine
+}
+
+// drain claims jobChunk jobs at a time until none are left, tagging each
+// with mac.
+func (c *hashCrew) drain(mac *macEngine) {
+	nb := c.bits / 8
+	for {
+		start := int(c.next.Add(jobChunk)) - jobChunk
+		if start >= len(c.jobs) {
+			return
+		}
+		end := start + jobChunk
+		if end > len(c.jobs) {
+			end = len(c.jobs)
+		}
+		for i := start; i < end; i++ {
+			mac.sizedInto(c.jobs[i].out[:nb], c.jobs[i].content[:], c.bits)
+		}
+	}
+}
+
+// helperHandoff hands each freshly started helper goroutine its crew and
+// engine. The goroutines start with no arguments and no captured
+// variables, so starting one allocates nothing once the runtime has
+// exited goroutines to reuse; every go statement is paired with exactly
+// one send, so each helper takes exactly one value.
+var helperHandoff = make(chan *hashHelper, 64)
+
+func runHelper() {
+	h := <-helperHandoff
+	h.crew.drain(h.mac)
+	h.crew.wg.Done()
 }
 
 func growJobs(jobs []hashJob, n int) []hashJob {

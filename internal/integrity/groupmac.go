@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"aisebmt/internal/counter"
-	"aisebmt/internal/crypto/hmac"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/mem"
 )
@@ -21,7 +20,7 @@ import (
 // so a group never crosses a page (all members share one counter block).
 type GroupMACStore struct {
 	m        *mem.Memory
-	mac      hmac.Keyed
+	mac      *macEngine
 	macBits  int
 	macBytes int
 	base     layout.Addr
@@ -54,7 +53,7 @@ func NewGroupMACStore(m *mem.Memory, key []byte, macBits int, base, dataBase lay
 	s := &GroupMACStore{m: m, macBits: macBits, macBytes: g.MACBytes,
 		base: base, dataBase: dataBase, coverage: coverage,
 		msg: make([]byte, 0, coverage*layout.BlockSize+8+coverage+1)}
-	s.mac.Init(key)
+	s.mac = newMACEngine(key)
 	return s, nil
 }
 
@@ -100,9 +99,7 @@ func (s *GroupMACStore) computeInto(dst []byte, a layout.Addr, cb counter.Block)
 		msg = append(msg, cb.Minor[firstIdx+i])
 	}
 	msg = append(msg, uint8(firstIdx/s.coverage))
-	if err := s.mac.SizedInto(dst, msg, s.macBits); err != nil {
-		panic(err) // width validated in the constructor
-	}
+	s.mac.sizedInto(dst, msg, s.macBits)
 	s.MACOps++
 }
 
@@ -120,7 +117,7 @@ func (s *GroupMACStore) Verify(a layout.Addr, cb counter.Block) error {
 	s.computeInto(want, a, cb)
 	got := s.got[:s.macBytes]
 	s.m.Read(s.SlotAddr(a), got)
-	if !hmac.Equal(want, got) {
+	if !macEqual(want, got) {
 		return &Error{Addr: a, Level: -1, Node: s.SlotAddr(a)}
 	}
 	return nil

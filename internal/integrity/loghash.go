@@ -3,7 +3,6 @@ package integrity
 import (
 	"encoding/binary"
 
-	"aisebmt/internal/crypto/hmac"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/mem"
 )
@@ -22,7 +21,7 @@ import (
 // next checkpoint, leaving a window the attacker can exploit.
 type LogHash struct {
 	m        *mem.Memory
-	mac      hmac.Keyed
+	mac      *macEngine
 	region   mem.Region
 	writeLog [20]byte
 	readLog  [20]byte
@@ -41,7 +40,7 @@ type LogHash struct {
 // as the initial write.
 func NewLogHash(m *mem.Memory, key []byte, region mem.Region) *LogHash {
 	l := &LogHash{m: m, region: region, version: make(map[layout.Addr]uint64)}
-	l.mac.Init(key)
+	l.mac = newMACEngine(key)
 	// Record the initial contents as writes at version 0 so the first
 	// checkpoint balances. The sweep is set-up, not program traffic, so it
 	// reads without touching the bus counters or the observer.
@@ -57,7 +56,7 @@ func (l *LogHash) entry(a layout.Addr, version uint64, blk *mem.Block) [20]byte 
 	binary.BigEndian.PutUint64(l.msg[8:16], version)
 	copy(l.msg[16:], blk[:])
 	l.Ops++
-	return l.mac.Sum(l.msg[:])
+	return *l.mac.tag(nil, l.msg[:])
 }
 
 func xorInto(dst *[20]byte, src [20]byte) {

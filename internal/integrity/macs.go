@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"aisebmt/internal/crypto/hmac"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/mem"
 )
@@ -22,7 +21,7 @@ import (
 // to disk.
 type DataMACStore struct {
 	m        *mem.Memory
-	mac      hmac.Keyed // precomputed midstates; the per-tag engine
+	mac      *macEngine // the per-tag engine
 	macBits  int
 	macBytes int
 	base     layout.Addr // MAC region base
@@ -48,7 +47,7 @@ func NewDataMACStore(m *mem.Memory, key []byte, macBits int, base, dataBase layo
 		return nil, err
 	}
 	s := &DataMACStore{m: m, macBits: macBits, macBytes: g.MACBytes, base: base, dataBase: dataBase}
-	s.mac.Init(key)
+	s.mac = newMACEngine(key)
 	return s, nil
 }
 
@@ -65,9 +64,7 @@ func (s *DataMACStore) computeInto(dst []byte, ct *mem.Block, lpid uint64, minor
 	binary.BigEndian.PutUint64(s.msg[layout.BlockSize:], lpid)
 	s.msg[layout.BlockSize+8] = minor
 	s.msg[layout.BlockSize+9] = uint8(blockInPage)
-	if err := s.mac.SizedInto(dst, s.msg[:], s.macBits); err != nil {
-		panic(err) // width validated in the constructor
-	}
+	s.mac.sizedInto(dst, s.msg[:], s.macBits)
 	s.MACOps++
 }
 
@@ -87,7 +84,7 @@ func (s *DataMACStore) Verify(a layout.Addr, ct *mem.Block, lpid uint64, minor u
 	s.computeInto(want, ct, lpid, minor, a.BlockInPage())
 	got := s.got[:s.macBytes]
 	s.m.Read(s.SlotAddr(a), got)
-	if !hmac.Equal(want, got) {
+	if !macEqual(want, got) {
 		return &Error{Addr: a, Level: -1, Node: s.SlotAddr(a)}
 	}
 	return nil
@@ -99,7 +96,7 @@ func (s *DataMACStore) Verify(a layout.Addr, ct *mem.Block, lpid uint64, minor u
 // undetected — the weakness Merkle trees close.
 type MACOnlyStore struct {
 	m        *mem.Memory
-	mac      hmac.Keyed
+	mac      *macEngine
 	macBits  int
 	macBytes int
 	base     layout.Addr
@@ -121,7 +118,7 @@ func NewMACOnlyStore(m *mem.Memory, key []byte, macBits int, base, dataBase layo
 		return nil, err
 	}
 	s := &MACOnlyStore{m: m, macBits: macBits, macBytes: g.MACBytes, base: base, dataBase: dataBase}
-	s.mac.Init(key)
+	s.mac = newMACEngine(key)
 	return s, nil
 }
 
@@ -136,9 +133,7 @@ func (s *MACOnlyStore) SlotAddr(a layout.Addr) layout.Addr {
 func (s *MACOnlyStore) computeInto(dst []byte, a layout.Addr, ct *mem.Block) {
 	copy(s.msg[:], ct[:])
 	binary.BigEndian.PutUint64(s.msg[layout.BlockSize:], uint64(a.BlockAddr()))
-	if err := s.mac.SizedInto(dst, s.msg[:], s.macBits); err != nil {
-		panic(err)
-	}
+	s.mac.sizedInto(dst, s.msg[:], s.macBits)
 	s.MACOps++
 }
 
@@ -155,7 +150,7 @@ func (s *MACOnlyStore) Verify(a layout.Addr, ct *mem.Block) error {
 	s.computeInto(want, a, ct)
 	got := s.got[:s.macBytes]
 	s.m.Read(s.SlotAddr(a), got)
-	if !hmac.Equal(want, got) {
+	if !macEqual(want, got) {
 		return &Error{Addr: a, Level: -1, Node: s.SlotAddr(a)}
 	}
 	return nil

@@ -44,8 +44,6 @@ func (t *Tree) UpdateBlockRef(a layout.Addr) error {
 func (t *Tree) refNodeMACInto(a layout.Addr, dst []byte) {
 	var blk mem.Block
 	t.m.ReadBlock(a, &blk)
-	if err := t.mac.SizedInto(dst, blk[:], t.g.MACBits); err != nil {
-		panic(err) // width validated in NewTree
-	}
+	t.mac.sizedInto(dst, blk[:], t.g.MACBits)
 	t.MACOps++
 }

@@ -21,7 +21,6 @@ package integrity
 import (
 	"fmt"
 
-	"aisebmt/internal/crypto/hmac"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/mem"
 )
@@ -54,7 +53,8 @@ func storageBlocks(count uint64, b int) uint64 {
 type Tree struct {
 	*TreeGeometry
 	m     *mem.Memory
-	mac   hmac.Keyed // precomputed midstates; the per-node tag engine
+	mac   *macEngine // the per-node tag engine
+	key   []byte     // keys UpdateBatch's per-helper engines
 	root  []byte
 	built bool
 
@@ -62,7 +62,7 @@ type Tree struct {
 	// hot path performs zero heap allocations. Tree is not safe for
 	// concurrent use (one controller pipeline), so plain fields suffice;
 	// UpdateBatch's internal hash fan-out is the only concurrency and it
-	// never touches these fields from more than one goroutine.
+	// never touches these fields (or t.mac) from more than one goroutine.
 	nodeScratch   [32]byte // recomputed node MAC (≤256 bits)
 	storedScratch [32]byte // stored node MAC read back from memory
 
@@ -106,8 +106,7 @@ func NewTree(m *mem.Memory, key []byte, macBits int, regions []mem.Region, stora
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{TreeGeometry: tg, m: m}
-	t.mac.Init(key)
+	t := &Tree{TreeGeometry: tg, m: m, mac: newMACEngine(key), key: append([]byte(nil), key...)}
 	return t, nil
 }
 
@@ -161,9 +160,7 @@ func (t *Tree) readNodeBlockInto(a layout.Addr, dst *mem.Block) {
 // contentMACInto computes the content MAC of one 64-byte block into dst
 // (len MACBytes) without allocating.
 func (t *Tree) contentMACInto(blk *mem.Block, dst []byte) {
-	if err := t.mac.SizedInto(dst, blk[:], t.g.MACBits); err != nil {
-		panic(err) // width validated in NewTree
-	}
+	t.mac.sizedInto(dst, blk[:], t.g.MACBits)
 	t.MACOps++
 }
 
@@ -290,7 +287,7 @@ func (t *Tree) verifyLeaf(a layout.Addr, idx uint64, blk *mem.Block) error {
 	// Leaf: recompute the block's MAC and compare to the stored level-0 MAC.
 	t.contentMACInto(blk, computed)
 	t.macAtInto(t.levels[0], idx, stored)
-	if !hmac.Equal(computed, stored) {
+	if !macEqual(computed, stored) {
 		node, _ := t.TreeGeometry.slotBlock(t.levels[0], idx)
 		return &Error{Addr: a, Level: 0, Node: node}
 	}
@@ -425,7 +422,7 @@ func (t *Tree) verifyChainFrom(li int, idx uint64, blames layout.Addr) error {
 			stored = t.storedScratch[:t.g.MACBytes]
 			t.macAtInto(t.levels[li+1], parentIdx, stored)
 		}
-		if !hmac.Equal(computed, stored) {
+		if !macEqual(computed, stored) {
 			return &Error{Addr: blames, Level: li + 1, Node: blockAddr}
 		}
 		idx = parentIdx

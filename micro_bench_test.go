@@ -9,8 +9,6 @@ import (
 	"aisebmt/internal/cache"
 	"aisebmt/internal/core"
 	"aisebmt/internal/counter"
-	"aisebmt/internal/crypto/aes"
-	"aisebmt/internal/crypto/hmac"
 	"aisebmt/internal/encrypt"
 	"aisebmt/internal/integrity"
 	"aisebmt/internal/layout"
@@ -78,37 +76,20 @@ func BenchmarkCounterBlockCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkAESPadGen measures one pad generation (one AES block) on the
-// T-table path — the unit of work counter mode performs four times per
-// 64-byte cache block.
+// BenchmarkAESPadGen measures one pad generation (one AES block through
+// the counter-mode engine) — the unit of work counter mode performs four
+// times per 64-byte cache block.
 func BenchmarkAESPadGen(b *testing.B) {
-	c, err := aes.New([]byte("0123456789abcdef"))
+	e, err := encrypt.NewCounterMode([]byte("0123456789abcdef"), encrypt.AISESeed{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var seed, pad [aes.BlockSize]byte
-	seed[0] = 1
-	b.SetBytes(aes.BlockSize)
+	var pad [16]byte
+	in := encrypt.SeedInput{PhysAddr: 0x4000, LPID: 42, Counter: 7}
+	b.SetBytes(int64(len(pad)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Encrypt(pad[:], seed[:])
-	}
-}
-
-// BenchmarkAESPadGenRef is the same work on the frozen reference
-// implementation (per-round InvSubBytes-style scalar math) — the "before"
-// row of the crypto overhaul.
-func BenchmarkAESPadGenRef(b *testing.B) {
-	c, err := aes.New([]byte("0123456789abcdef"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var seed, pad [aes.BlockSize]byte
-	seed[0] = 1
-	b.SetBytes(aes.BlockSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.EncryptRef(pad[:], seed[:])
+		e.PadInto(&pad, in)
 	}
 }
 
@@ -150,18 +131,18 @@ func BenchmarkDataMACUpdate(b *testing.B) {
 }
 
 // BenchmarkHMACSized256 measures the widened 256-bit tag (two HMAC
-// invocations) over a block-sized message.
+// invocations) over the data-MAC message, plus its store.
 func BenchmarkHMACSized256(b *testing.B) {
-	var k hmac.Keyed
-	k.Init([]byte("integrity-test-k"))
-	msg := make([]byte, layout.BlockSize+10)
-	dst := make([]byte, 32)
-	b.SetBytes(int64(len(msg)))
+	m := mem.New(1 << 20)
+	s, err := integrity.NewDataMACStore(m, []byte("integrity-test-k"), 256, 256<<10, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ct mem.Block
+	b.SetBytes(layout.BlockSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := k.SizedInto(dst, msg, 256); err != nil {
-			b.Fatal(err)
-		}
+		s.Update(0x1040, &ct, 77, uint8(i)&0x7f)
 	}
 }
 
