@@ -1,8 +1,11 @@
 # Tier-1 gate for the aisebmt reproduction and its service layer.
 #
-#   make check           vet + build + full test suite + race pass on the
-#                        concurrent packages (what CI and ROADMAP's tier-1
-#                        line run)
+#   make check           vet + build + cross-build + full test suite + race
+#                        pass on the concurrent packages (what CI and
+#                        ROADMAP's tier-1 line run)
+#   make cross           the builds without the amd64 assembly: vet the
+#                        MAC engine's portable SHA-1 path for arm64 and
+#                        build everything for 386
 #   make race            only the race pass (internal/mem, internal/shard,
 #                        internal/server, internal/persist, ...)
 #   make fuzz            a short fuzz session on the wire codec
@@ -56,15 +59,19 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz fuzz-smoke bench bench-recovery bench-integrity bench-smoke chaos chaos-smoke metrics-smoke bench-cluster cluster-smoke lifecycle-smoke cluster tenant-smoke bench-tenants
+.PHONY: check vet build cross test race fuzz fuzz-smoke bench bench-recovery bench-integrity bench-smoke chaos chaos-smoke metrics-smoke bench-cluster cluster-smoke lifecycle-smoke cluster tenant-smoke bench-tenants
 
-check: vet build test race
+check: vet build cross test race
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/integrity/...
+	GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...

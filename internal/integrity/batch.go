@@ -181,9 +181,10 @@ func (t *Tree) UpdateBatch(addrs []layout.Addr, workers int) error {
 
 // hashJobs computes every job's node MAC, fanning across up to workers
 // hashers (the calling goroutine plus workers-1 helpers) when the batch is
-// big enough to pay for the handoff. crypto/hmac state cannot be shared,
-// so the caller hashes with t.mac and each helper with its own engine from
-// the tree's crew; each hasher writes only its own jobs' out buffers.
+// big enough to pay for the handoff. An engine stages every message in
+// its own blocks, so it cannot be shared: the caller hashes with t.mac and
+// each helper with its own engine from the tree's crew; each hasher writes
+// only its own jobs' out buffers.
 // MACOps accounting happens in the caller, once, to keep the counter off
 // the parallel path.
 func (t *Tree) hashJobs(jobs []hashJob, workers int) {

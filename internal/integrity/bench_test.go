@@ -109,3 +109,37 @@ func BenchmarkTreeBatchCached(b *testing.B) {
 		}
 	}
 }
+
+// benchTag keeps BenchmarkMACEngine's tags live.
+var benchTag [20]byte
+
+// BenchmarkMACEngine times one tag on each compression over the two
+// messages the controller tags most: the 74-byte data-MAC message
+// (C ‖ LPID ‖ minor ‖ block index) and a 64-byte tree node.
+func BenchmarkMACEngine(b *testing.B) {
+	for _, shani := range []bool{true, false} {
+		name := "portable"
+		if shani {
+			name = "shani"
+		}
+		b.Run(name, func(b *testing.B) {
+			if !setCompression(b, shani) {
+				b.Skip("no SHA extensions on this CPU")
+			}
+			e := newMACEngine(goldenKey)
+			for _, m := range []struct {
+				name string
+				n    int
+			}{{"data74", 74}, {"node64", 64}} {
+				msg := make([]byte, m.n)
+				b.Run(m.name, func(b *testing.B) {
+					b.SetBytes(int64(m.n))
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						benchTag = *e.tag(nil, msg)
+					}
+				})
+			}
+		})
+	}
+}

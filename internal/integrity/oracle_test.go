@@ -2,6 +2,7 @@ package integrity
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -11,9 +12,10 @@ import (
 	"aisebmt/internal/mem"
 )
 
-// The MAC engine binds crypto/hmac over crypto/sha1; the from-scratch
-// internal/crypto/hmac is the oracle. Every tag, at every width and in the
-// message shape of every store, must equal the oracle's.
+// The MAC engine is a fixed-key HMAC-SHA-1 over its own compression; the
+// from-scratch internal/crypto/hmac is the oracle. Every tag, at every
+// width and in the message shape of every store, must equal the oracle's,
+// on both compressions: the SHA extensions and the portable loop.
 
 var storeWidths = []int{32, 64, 128, 256}
 
@@ -41,30 +43,92 @@ func checkEngine(t testing.TB, key, msg []byte) {
 	}
 }
 
-func TestMACEngineMatchesScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	for i := 0; i < 300; i++ {
-		key := make([]byte, rng.Intn(100))
-		msg := make([]byte, rng.Intn(600)) // up to several engine buffers
-		rng.Read(key)
-		rng.Read(msg)
-		checkEngine(t, key, msg)
-	}
-	// Lengths around the engine's buffer, with and without the 256-bit
-	// width's prefix byte.
-	for _, n := range []int{0, 1, 63, 64, 127, 128, 129, 255, 256, 257} {
-		checkEngine(t, testKey, bytes.Repeat([]byte{0xa5}, n))
+// eachCompression runs f once per SHA-1 compression block can use.
+func eachCompression(t *testing.T, f func(t *testing.T)) {
+	for _, shani := range []bool{true, false} {
+		name := "portable"
+		if shani {
+			name = "shani"
+		}
+		t.Run(name, func(t *testing.T) {
+			if !setCompression(t, shani) {
+				t.Skip("no SHA extensions on this CPU; the portable leg covers the engine")
+			}
+			f(t)
+		})
 	}
 }
 
+// TestBlockMatchesSHA1 checks each compression against crypto/sha1 on
+// messages of every length from 0 to 300 bytes, padded as FIPS 180-1
+// says and compressed in one call. A partial trailing block, which block
+// must ignore, follows the padded message.
+func TestBlockMatchesSHA1(t *testing.T) {
+	eachCompression(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(34))
+		for n := 0; n <= 300; n++ {
+			msg := make([]byte, n)
+			rng.Read(msg)
+			p := append(append([]byte{}, msg...), 0x80)
+			for len(p)%sha1.BlockSize != sha1.BlockSize-8 {
+				p = append(p, 0)
+			}
+			p = binary.BigEndian.AppendUint64(p, uint64(n)*8)
+			p = append(p, msg[:n%sha1.BlockSize]...)
+			h := sha1IV
+			block(&h, p)
+			var got [sha1.Size]byte
+			for i, v := range h {
+				binary.BigEndian.PutUint32(got[4*i:], v)
+			}
+			if want := sha1.Sum(msg); got != want {
+				t.Fatalf("%d-byte msg: block %x, crypto/sha1 %x", n, got, want)
+			}
+		}
+	})
+}
+
+func TestMACEngineMatchesScratch(t *testing.T) {
+	eachCompression(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(32))
+		for i := 0; i < 300; i++ {
+			key := make([]byte, rng.Intn(100))
+			msg := make([]byte, rng.Intn(600)) // up to several engine buffers
+			rng.Read(key)
+			rng.Read(msg)
+			checkEngine(t, key, msg)
+		}
+
+		// Framing edges. Keys: empty, one block, and longer than a block
+		// (hashed first). Messages: empty; around the engine buffer; and
+		// prefix ‖ msg at every padding and block boundary of one to three
+		// blocks, with and without the 256-bit width's prefix byte
+		// (checkEngine runs both); then group-MAC lengths past the buffer,
+		// four blocks and a whole page.
+		keys := [][]byte{nil, bytes.Repeat([]byte{0x6b}, 64), bytes.Repeat([]byte{0x6b}, 65), bytes.Repeat([]byte{0x6b}, 200)}
+		lens := []int{0, 1, 127, 128, 129, 255, 256, 257}
+		for _, n := range []int{55, 56, 63, 64, 119, 120, 183, 184} {
+			lens = append(lens, n, n-1)
+		}
+		lens = append(lens, 4*layout.BlockSize+13, layout.PageSize+73)
+		for _, key := range append(keys, testKey) {
+			for _, n := range lens {
+				checkEngine(t, key, bytes.Repeat([]byte{0xa5}, n))
+			}
+		}
+	})
+}
+
 // FuzzEngineMatchesScratch fuzzes the engine against the oracle over
-// arbitrary keys and messages at every width.
+// arbitrary keys and messages at every width, on each compression.
 func FuzzEngineMatchesScratch(f *testing.F) {
 	f.Add([]byte("integrity-test-k"), []byte("message"))
 	f.Add(make([]byte, 64), make([]byte, 0))
 	f.Add(bytes.Repeat([]byte{0x5c}, 100), bytes.Repeat([]byte{0x36}, 300))
 	f.Fuzz(func(t *testing.T, key, msg []byte) {
-		checkEngine(t, key, msg)
+		eachCompression(t, func(t *testing.T) {
+			checkEngine(t, key, msg)
+		})
 	})
 }
 
@@ -76,6 +140,10 @@ func slotBytes(m *mem.Memory, a layout.Addr, n int) []byte {
 }
 
 func TestStoresMatchScratch(t *testing.T) {
+	eachCompression(t, checkStoresAgainstScratch)
+}
+
+func checkStoresAgainstScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for _, bits := range storeWidths {
 		m := mem.New(1 << 20)
