@@ -4,8 +4,9 @@
 #                        pass on the concurrent packages (what CI and
 #                        ROADMAP's tier-1 line run)
 #   make cross           the builds without the amd64 assembly: vet the
-#                        MAC engine's portable SHA-1 path for arm64 and
-#                        build everything for 386
+#                        portable paths of the MAC engine (SHA-1), the pad
+#                        kernel (AES) and the controller and memory above
+#                        them for arm64, and build everything for 386
 #   make race            only the race pass (internal/mem, internal/shard,
 #                        internal/server, internal/persist, ...)
 #   make fuzz            a short fuzz session on the wire codec
@@ -70,7 +71,7 @@ build:
 	$(GO) build ./...
 
 cross:
-	GOARCH=arm64 $(GO) vet ./internal/integrity/...
+	GOARCH=arm64 $(GO) vet ./internal/cpuid/... ./internal/integrity/... ./internal/encrypt/... ./internal/mem/... ./internal/core/...
 	GOARCH=386 $(GO) build ./...
 
 test:
@@ -115,7 +116,7 @@ bench-integrity:
 	./scripts/bench_integrity.sh
 
 bench-smoke:
-	$(GO) test -run=none -bench . -benchtime 1x ./internal/mem/... ./internal/crypto/... ./internal/counter/... ./internal/integrity/... ./internal/core/... ./internal/shard/... .
+	$(GO) test -run=none -bench . -benchtime 1x ./internal/mem/... ./internal/crypto/... ./internal/encrypt/... ./internal/counter/... ./internal/integrity/... ./internal/core/... ./internal/shard/... .
 
 metrics-smoke: build
 	./scripts/metrics_smoke.sh

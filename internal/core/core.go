@@ -230,6 +230,11 @@ type SecureMemory struct {
 	// Deferred tree updates of the open batch window (see treebatch.go).
 	treeDepth int
 	treeDirty []layout.Addr
+
+	// Page-span scratch (see span.go): spanBlocks holds the blocks of the
+	// span in flight, pageBlocks the blocks a page initialization or
+	// re-encryption seals beside it.
+	spanBlocks, pageBlocks [layout.BlocksPerPage]mem.Block
 }
 
 // Errors returned by the controller.

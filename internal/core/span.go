@@ -4,21 +4,39 @@ import (
 	"fmt"
 
 	"aisebmt/internal/counter"
-	"aisebmt/internal/encrypt"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/mem"
 )
 
 // The page span is the controller's unit of work. Read, Write and VerifyAll
 // cut a request at page boundaries and run each piece — a run of blocks
-// inside one page — through one pipeline pass. Under AISE the page's
-// counter block is fetched once per span into a counter.Block on the stack
-// that plays the on-chip counter-cache line: a fetch span authenticates
-// the fetched bytes leaf-to-root against the on-chip root once, then every
-// block of the span is MAC-checked and decrypted against that trusted
-// copy; a writeback span bumps minors in the copy, seals each block, then
-// encodes and stores the counter block once and queues one tree update.
-// ReadBlock and WriteBlock are the one-block span.
+// inside one page — through one pipeline pass. ReadBlock and WriteBlock are
+// the one-block span.
+//
+// Under AISE the span is also the unit of pad generation and of transfer.
+// The page's counter block is fetched once per span into a counter.Block on
+// the stack that plays the on-chip counter-cache line, and it alone fixes
+// every pad of the span: the seed is LPID ‖ minor ‖ block-in-page ‖ chunk,
+// all known before any ciphertext arrives (the paper's "latency hiding:
+// good"). So a span opens in one pass (openSpan): one transfer of its data
+// blocks, one check of their MACs — one transfer of their contiguous MAC
+// slots under Bonsai — and all their pads in one kernel call, XORed in
+// place. It seals in one pass the other way (sealRun): pads, XOR, one
+// transfer of the ciphertext, one MAC-slot transfer. A fetch span
+// authenticates the counter block leaf-to-root once; a writeback span bumps
+// minors in its copy, seals, then encodes and stores the counter block once
+// and queues one tree update.
+//
+// Overflow ordering. A minor that overflows mid-span re-keys the page:
+// fresh LPID, every minor cleared, every other block re-sealed from memory
+// by reencryptPage. The span's blocks before the overflowing one are sealed
+// under the old counter block before reencryptPage runs (sealSpan).
+// Otherwise reencryptPage would seal their old contents under the new LPID
+// at minor 0 and the span its new contents under the same seed: one pad
+// over two plaintexts, the keystream reuse AISE exists to prevent.
+//
+// The other seed schemes have no counter block to batch under; their spans
+// open and seal block by block (openBlock, sealBlock).
 //
 // The line never outlives the call. Every call starts from untrusted
 // memory, so a tampered counter block, MAC or tree node is refused by the
@@ -159,81 +177,119 @@ func (s *SecureMemory) fetchCounters(a layout.Addr, nblk int, verify bool) (coun
 // pipeline and copies their plaintext to dst. A nil dst verifies without
 // decrypting.
 func (s *SecureMemory) readSpan(a layout.Addr, n int, dst []byte, meta Meta) error {
-	off := int(a - a.BlockAddr())
-	cb, err := s.fetchCounters(a, (off+n+layout.BlockSize-1)/layout.BlockSize, true)
+	first := a.BlockAddr()
+	off := int(a - first)
+	blocks := s.spanBlocks[:(off+n+layout.BlockSize-1)/layout.BlockSize]
+	cb, err := s.fetchCounters(first, len(blocks), true)
 	if err != nil {
 		return err
 	}
-	for done := 0; done < n; {
-		ba := (a + layout.Addr(done)).BlockAddr()
-		take := min(n-done, layout.BlockSize-off)
-		switch {
-		case dst == nil:
-			err = s.openBlock(ba, nil, &cb, meta)
-		case take == layout.BlockSize:
-			err = s.openBlock(ba, (*mem.Block)(dst[done:done+take]), &cb, meta)
-		default:
-			var blk mem.Block
-			err = s.openBlock(ba, &blk, &cb, meta)
-			copy(dst[done:done+take], blk[off:])
-		}
-		if err != nil {
-			return err
-		}
-		done, off = done+take, 0
+	if err := s.openSpan(first, blocks, &cb, dst != nil, meta); err != nil {
+		return err
+	}
+	if dst != nil {
+		gather(dst, blocks, off)
 	}
 	return nil
 }
 
-// openBlock fetches the data block at a, verifies it under the configured
-// scheme — for AISE against cb, the span's trusted counter copy — and
-// decrypts it into dst (nil: verify only).
-func (s *SecureMemory) openBlock(a layout.Addr, dst *mem.Block, cb *counter.Block, meta Meta) error {
-	var ct mem.Block
-	s.mem.ReadBlock(a, &ct)
-	s.stats.BlockReads++
-	if s.split == nil && s.ctrRegion.Size > 0 {
-		s.touchCtr(s.ctrSlotBlock(a))
-	}
-	minor := cb.Minor[a.BlockInPage()]
-	if s.split != nil && cb.LPID == 0 {
-		// Vacant page: LPID 0 is the tamper-evident free state, and the
-		// span already verified the claim. The processor gets zeros.
-		if dst != nil {
-			*dst = mem.Block{}
+// openSpan fetches a run of consecutive blocks of one page, starting at
+// first, into blocks, verifies them under the configured scheme — for AISE
+// against cb, the span's trusted counter copy — and, with decrypt set,
+// decrypts them in place. Under AISE nothing is decrypted before every
+// block of the run has verified.
+func (s *SecureMemory) openSpan(first layout.Addr, blocks []mem.Block, cb *counter.Block, decrypt bool, meta Meta) error {
+	if s.split == nil {
+		for i := range blocks {
+			var dst *mem.Block
+			if decrypt {
+				dst = &blocks[i]
+			}
+			if err := s.openBlock(first+layout.Addr(i*layout.BlockSize), dst, meta); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
+	s.mem.ReadBlocks(first, blocks)
+	s.stats.BlockReads += uint64(len(blocks))
+	if cb.LPID == 0 {
+		// Vacant page: LPID 0 is the tamper-evident free state, and the
+		// span already verified the claim. The processor gets zeros.
+		clear(blocks)
+		return nil
+	}
+	if err := s.verifyRun(first, blocks, cb); err != nil {
+		return err
+	}
+	if decrypt {
+		s.ctrMode.DecryptSpan(blocks, blocks, cb.LPID, &cb.Minor, first.BlockInPage())
+	}
+	return nil
+}
 
-	switch s.cfg.Integrity {
-	case MACOnly:
-		if err := s.macOnly.Verify(a, &ct); err != nil {
+// verifyRun checks a run of AISE ciphertext blocks from first under the
+// configured integrity scheme, in address order, so the first failure is
+// the one a block-at-a-time read would report.
+func (s *SecureMemory) verifyRun(first layout.Addr, cts []mem.Block, cb *counter.Block) error {
+	if s.dataMACs != nil {
+		// The data MACs against the guaranteed-fresh counters (§5.2).
+		if err := s.dataMACs.VerifySpan(first, cts, cb.LPID, &cb.Minor); err != nil {
 			return tampered("", err)
 		}
+		return nil
+	}
+	for i := range cts {
+		a := first + layout.Addr(i*layout.BlockSize)
+		if s.groupMACs != nil {
+			if err := s.groupMACs.Verify(a, *cb); err != nil {
+				return tampered("", err)
+			}
+			continue
+		}
+		if err := s.checkBlock(a, &cts[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkBlock verifies one data block's ciphertext ct under the MAC-only
+// and Merkle tree schemes; the others keep no per-block check.
+func (s *SecureMemory) checkBlock(a layout.Addr, ct *mem.Block) error {
+	var err error
+	switch s.cfg.Integrity {
+	case MACOnly:
+		err = s.macOnly.Verify(a, ct)
 	case MerkleTree:
 		s.stats.TreeVerifies++
 		s.touchTreeWalk(a)
-		if err := s.tree.VerifyContent(a, &ct); err != nil {
-			return tampered("", err)
-		}
-		// The per-block counter fetched to decrypt is a memory read too; it
-		// is covered by the tree and verified with the data block. (An AISE
-		// span verified its one counter block up front.)
-		if s.split == nil && s.ctrRegion.Size > 0 {
-			if err := s.tree.VerifyBlock(s.ctrSlotBlock(a)); err != nil {
-				return tampered("counter ", err)
-			}
-		}
-	case BonsaiMT:
-		// The data MAC against the guaranteed-fresh counter (§5.2).
-		var err error
-		if s.groupMACs != nil {
-			err = s.groupMACs.Verify(a, *cb)
-		} else {
-			err = s.dataMACs.Verify(a, &ct, cb.LPID, minor)
-		}
-		if err != nil {
-			return tampered("", err)
+		err = s.tree.VerifyContent(a, ct)
+	}
+	if err != nil {
+		return tampered("", err)
+	}
+	return nil
+}
+
+// openBlock is one block's fetch under a scheme without AISE counter
+// blocks: fetch the data block at a, verify it, decrypt it into dst (nil:
+// verify only).
+func (s *SecureMemory) openBlock(a layout.Addr, dst *mem.Block, meta Meta) error {
+	var ct mem.Block
+	s.mem.ReadBlock(a, &ct)
+	s.stats.BlockReads++
+	if s.ctrRegion.Size > 0 {
+		s.touchCtr(s.ctrSlotBlock(a))
+	}
+	if err := s.checkBlock(a, &ct); err != nil {
+		return err
+	}
+	// The per-block counter fetched to decrypt is a memory read too; it is
+	// covered by the tree and verified with the data block.
+	if s.cfg.Integrity == MerkleTree && s.ctrRegion.Size > 0 {
+		if err := s.tree.VerifyBlock(s.ctrSlotBlock(a)); err != nil {
+			return tampered("counter ", err)
 		}
 	}
 	if dst == nil {
@@ -245,8 +301,6 @@ func (s *SecureMemory) openBlock(a layout.Addr, dst *mem.Block, cb *counter.Bloc
 		*dst = ct
 	case DirectEncryption:
 		s.direct.DecryptBlock(dst, &ct)
-	case AISE:
-		s.ctrMode.DecryptBlock(dst, &ct, s.seedFor(a, meta, uint64(minor), cb.LPID))
 	case CtrPhys, CtrVirt:
 		s.ctrMode.DecryptBlock(dst, &ct, s.seedFor(a, meta, s.perBlock.Get(a), 0))
 	case CtrGlobal32, CtrGlobal64:
@@ -259,75 +313,62 @@ func (s *SecureMemory) openBlock(a layout.Addr, dst *mem.Block, cb *counter.Bloc
 // the writeback pipeline.
 func (s *SecureMemory) writeSpan(a layout.Addr, src []byte, meta Meta) error {
 	first := a.BlockAddr()
-	page := first.PageAddr()
 	off := int(a - first)
 	end := off + len(src)
-	nblk := (end + layout.BlockSize - 1) / layout.BlockSize
-	last := first + layout.Addr((nblk-1)*layout.BlockSize)
+	blocks := s.spanBlocks[:(end+layout.BlockSize-1)/layout.BlockSize]
+	n := len(blocks)
 	partialHead := off != 0 || end < layout.BlockSize
-	partialTail := nblk > 1 && end%layout.BlockSize != 0
+	partialTail := n > 1 && end%layout.BlockSize != 0
 
 	// A partially covered block is a read-modify-write, and what it reads
 	// must be verified: the span's counter copy is then authenticated up
 	// front, and the old plaintext is opened against it before anything is
 	// bumped.
-	cb, err := s.fetchCounters(first, nblk, partialHead || partialTail)
+	cb, err := s.fetchCounters(first, n, partialHead || partialTail)
 	if err != nil {
 		return err
 	}
-	var head, tail mem.Block
 	if partialHead {
-		if err := s.openBlock(first, &head, &cb, meta); err != nil {
+		if err := s.openSpan(first, blocks[:1], &cb, true, meta); err != nil {
 			return err
 		}
 	}
 	if partialTail {
-		if err := s.openBlock(last, &tail, &cb, meta); err != nil {
+		last := first + layout.Addr((n-1)*layout.BlockSize)
+		if err := s.openSpan(last, blocks[n-1:], &cb, true, meta); err != nil {
 			return err
 		}
 	}
+	scatter(blocks, off, src)
+
+	if s.split == nil {
+		for i := range blocks {
+			if err := s.sealBlock(first+layout.Addr(i*layout.BlockSize), &blocks[i], meta); err != nil {
+				return err
+			}
+			s.stats.BlockWrites++
+		}
+		return nil
+	}
 
 	// resealed: the whole page, not just the span, was sealed afresh.
+	page := first.PageAddr()
 	resealed := false
-	if s.split != nil && cb.LPID == 0 {
-		if err := s.initializePage(page, &cb, first.BlockInPage(), nblk); err != nil {
+	if cb.LPID == 0 {
+		if err := s.initializePage(page, &cb, first.BlockInPage(), n); err != nil {
 			return err
 		}
 		resealed = true
 	}
-	for i := 0; i < nblk; i++ {
-		ba := first + layout.Addr(i*layout.BlockSize)
-		var plain *mem.Block
-		switch {
-		case i == 0 && partialHead:
-			copy(head[off:], src)
-			plain = &head
-		case i == nblk-1 && partialTail:
-			copy(tail[:], src[i*layout.BlockSize-off:])
-			plain = &tail
-		default:
-			plain = (*mem.Block)(src[i*layout.BlockSize-off:])
-		}
-		if s.split != nil {
-			old := cb
-			if cb.Bump(ba.BlockInPage(), s.gpc) {
-				if err := s.reencryptPage(page, &old, &cb, ba.BlockInPage()); err != nil {
-					return err
-				}
-				resealed = true
-			}
-		}
-		if err := s.sealBlock(ba, plain, &cb, meta); err != nil {
-			return err
-		}
-		s.stats.BlockWrites++
+	overflowed, err := s.sealSpan(first, blocks, &cb)
+	if err != nil {
+		return err
 	}
-	if s.split == nil {
-		return nil
-	}
+	s.stats.BlockWrites += uint64(n)
+	resealed = resealed || overflowed
 
 	if s.groupMACs != nil {
-		from, to := first, last
+		from, to := first, first+layout.Addr((n-1)*layout.BlockSize)
 		if resealed {
 			from, to = page, page+layout.PageSize-layout.BlockSize
 		}
@@ -348,23 +389,79 @@ func (s *SecureMemory) writeSpan(a layout.Addr, src []byte, meta Meta) error {
 	return nil
 }
 
-// sealBlock is one block's writeback: encrypt plain under the block's
-// current counter (for AISE the one in cb, which the caller has bumped),
-// store the ciphertext, refresh the block's own integrity metadata. Group
-// MACs and the AISE counter block are the span's to refresh, once.
-func (s *SecureMemory) sealBlock(a layout.Addr, plain *mem.Block, cb *counter.Block, meta Meta) error {
-	if s.split == nil && s.ctrRegion.Size > 0 {
+// sealSpan bumps the minor counter of each block of an AISE span in cb and
+// seals the span's plaintext, in blocks, under the result. It reports
+// whether a minor overflowed and the page was re-encrypted. On overflow the
+// blocks bumped so far are sealed under the old counter block first, and
+// only then is the page re-encrypted (the overflow ordering rule above).
+func (s *SecureMemory) sealSpan(first layout.Addr, blocks []mem.Block, cb *counter.Block) (overflowed bool, err error) {
+	b0, start := first.BlockInPage(), 0
+	for i := range blocks {
+		if cb.Minor[b0+i] < layout.MinorCounterMax {
+			cb.Bump(b0+i, s.gpc)
+			continue
+		}
+		if err := s.sealRun(first+layout.Addr(start*layout.BlockSize), blocks[start:i], cb); err != nil {
+			return false, err
+		}
+		old := *cb
+		cb.Bump(b0+i, s.gpc)
+		if err := s.reencryptPage(first.PageAddr(), &old, cb, b0+i); err != nil {
+			return true, err
+		}
+		start, overflowed = i, true
+	}
+	return overflowed, s.sealRun(first+layout.Addr(start*layout.BlockSize), blocks[start:], cb)
+}
+
+// sealRun is the writeback of a run of consecutive blocks of one page under
+// cb as it stands: encrypt the plaintext in blocks in place, store the run
+// in one transfer, refresh the blocks' own integrity metadata. Group MACs
+// and the counter block are the span's to refresh, once.
+func (s *SecureMemory) sealRun(first layout.Addr, blocks []mem.Block, cb *counter.Block) error {
+	s.ctrMode.EncryptSpan(blocks, blocks, cb.LPID, &cb.Minor, first.BlockInPage())
+	s.mem.WriteBlocks(first, blocks)
+	if s.dataMACs != nil {
+		s.dataMACs.UpdateSpan(first, blocks, cb.LPID, &cb.Minor)
+		return nil
+	}
+	for i := range blocks {
+		if err := s.refreshBlock(first+layout.Addr(i*layout.BlockSize), &blocks[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refreshBlock refreshes one stored data block's integrity metadata under
+// the MAC-only and Merkle tree schemes; the others keep none per block.
+func (s *SecureMemory) refreshBlock(a layout.Addr, ct *mem.Block) error {
+	switch s.cfg.Integrity {
+	case MACOnly:
+		s.macOnly.Update(a, ct)
+	case MerkleTree:
+		if err := s.treeUpdate(a); err != nil {
+			return err
+		}
+		s.stats.TreeUpdates++
+		s.touchTreeWalk(a)
+	}
+	return nil
+}
+
+// sealBlock is one block's writeback under a scheme without AISE counter
+// blocks: encrypt plain under a fresh counter, store the ciphertext,
+// refresh the block's integrity metadata.
+func (s *SecureMemory) sealBlock(a layout.Addr, plain *mem.Block, meta Meta) error {
+	if s.ctrRegion.Size > 0 {
 		s.touchCtr(s.ctrSlotBlock(a))
 	}
 	var ct mem.Block
-	minor := cb.Minor[a.BlockInPage()]
 	switch s.cfg.Encryption {
 	case NoEncryption:
 		ct = *plain
 	case DirectEncryption:
 		s.direct.EncryptBlock(&ct, plain)
-	case AISE:
-		s.ctrMode.EncryptBlock(&ct, plain, s.seedFor(a, meta, uint64(minor), cb.LPID))
 	case CtrPhys, CtrVirt:
 		v, _ := s.perBlock.Increment(a)
 		s.ctrMode.EncryptBlock(&ct, plain, s.seedFor(a, meta, v, 0))
@@ -380,29 +477,17 @@ func (s *SecureMemory) sealBlock(a layout.Addr, plain *mem.Block, cb *counter.Bl
 		s.ctrMode.EncryptBlock(&ct, plain, s.seedFor(a, meta, v, 0))
 	}
 	s.mem.WriteBlock(a, &ct)
-
-	switch s.cfg.Integrity {
-	case MACOnly:
-		s.macOnly.Update(a, &ct)
-	case BonsaiMT:
-		if s.dataMACs != nil {
-			s.dataMACs.Update(a, &ct, cb.LPID, minor)
-		}
-	case MerkleTree:
-		if err := s.treeUpdate(a); err != nil {
+	if err := s.refreshBlock(a, &ct); err != nil {
+		return err
+	}
+	// Per-block counter storage written by the encryption step is covered
+	// too.
+	if s.cfg.Integrity == MerkleTree && s.ctrRegion.Size > 0 {
+		if err := s.treeUpdate(s.ctrSlotBlock(a)); err != nil {
 			return err
 		}
 		s.stats.TreeUpdates++
-		s.touchTreeWalk(a)
-		// Per-block counter storage written by the encryption step is
-		// covered too. (An AISE span refreshes its one counter block.)
-		if s.split == nil && s.ctrRegion.Size > 0 {
-			if err := s.treeUpdate(s.ctrSlotBlock(a)); err != nil {
-				return err
-			}
-			s.stats.TreeUpdates++
-			s.touchTreeWalk(s.ctrSlotBlock(a))
-		}
+		s.touchTreeWalk(s.ctrSlotBlock(a))
 	}
 	return nil
 }
@@ -415,37 +500,48 @@ func (s *SecureMemory) sealBlock(a layout.Addr, plain *mem.Block, cb *counter.Bl
 // charged to the allocating write, never to page movement.
 func (s *SecureMemory) initializePage(page layout.Addr, cb *counter.Block, skip, n int) error {
 	*cb = counter.Block{LPID: s.gpc.Next()}
-	var zero mem.Block
-	for i := 0; i < layout.BlocksPerPage; i++ {
-		if i >= skip && i < skip+n {
-			continue
-		}
-		if err := s.sealBlock(page+layout.Addr(i*layout.BlockSize), &zero, cb, Meta{}); err != nil {
+	zero := s.pageBlocks[:]
+	clear(zero)
+	if err := s.sealRun(page, zero[:skip], cb); err != nil {
+		return err
+	}
+	return s.sealRun(page+layout.Addr((skip+n)*layout.BlockSize), zero[skip+n:], cb)
+}
+
+// reencryptPage re-encrypts a whole page after a minor-counter overflow:
+// every block is decrypted under the old counter block and sealed under
+// the fresh LPID in new (§4.3), in two runs around the overflowing block.
+// Blocks keep their data; integrity metadata is refreshed. The overflowing
+// block itself (index except) is skipped: the span seals its new contents
+// next, and its old contents must not meet the pad its new contents are
+// about to use.
+func (s *SecureMemory) reencryptPage(page layout.Addr, old, new *counter.Block, except int) error {
+	s.stats.PageReencrypts++
+	for _, run := range [2][2]int{{0, except}, {except + 1, layout.BlocksPerPage}} {
+		a := page + layout.Addr(run[0]*layout.BlockSize)
+		blocks := s.pageBlocks[run[0]:run[1]]
+		s.mem.ReadBlocks(a, blocks)
+		s.ctrMode.DecryptSpan(blocks, blocks, old.LPID, &old.Minor, run[0])
+		if err := s.sealRun(a, blocks, new); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// reencryptPage re-encrypts a whole page after a minor-counter overflow:
-// every block is decrypted under the old counter block and sealed under
-// the fresh LPID in new (§4.3). Blocks keep their data; integrity metadata
-// is refreshed. The overflowing block itself (index except) is skipped:
-// the span seals its new contents next, and its old contents must not meet
-// the pad its new contents are about to use.
-func (s *SecureMemory) reencryptPage(page layout.Addr, old, new *counter.Block, except int) error {
-	s.stats.PageReencrypts++
-	for i := 0; i < layout.BlocksPerPage; i++ {
-		if i == except {
-			continue
-		}
-		a := page + layout.Addr(i*layout.BlockSize)
-		var ct, plain mem.Block
-		s.mem.ReadBlock(a, &ct)
-		s.ctrMode.DecryptBlock(&plain, &ct, encrypt.SeedInput{PhysAddr: a, LPID: old.LPID, Counter: uint64(old.Minor[i])})
-		if err := s.sealBlock(a, &plain, new, Meta{}); err != nil {
-			return err
-		}
+// gather copies the bytes of blocks from offset off of the first one into
+// dst, until dst is full.
+func gather(dst []byte, blocks []mem.Block, off int) {
+	for i := range blocks {
+		n := copy(dst, blocks[i][off:])
+		dst, off = dst[n:], 0
 	}
-	return nil
+}
+
+// scatter copies src into blocks from offset off of the first one on.
+func scatter(blocks []mem.Block, off int, src []byte) {
+	for i := range blocks {
+		n := copy(blocks[i][off:], src)
+		src, off = src[n:], 0
+	}
 }

@@ -9,15 +9,18 @@
 // E_K(seed)); security requires every seed to be unique across space and
 // time, which is exactly the property the different composers trade off.
 //
-// Both engines bind the standard library's crypto/aes, which runs on the
-// CPU's AES instructions: the software counterpart of the paper's
-// pipelined AES unit beside the memory controller. The from-scratch
-// internal/crypto/aes is the reference the tests check them against.
+// Both engines run on the CPU's AES instructions: the software counterpart
+// of the paper's pipelined AES unit beside the memory controller. Counter
+// mode drives them through its own multi-lane kernel (kernel_amd64.s), with
+// the standard library's crypto/aes as the portable fallback; direct mode
+// binds crypto/aes. The from-scratch internal/crypto/aes is the reference
+// the tests check them against.
 package encrypt
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 
 	"aisebmt/internal/layout"
@@ -167,15 +170,55 @@ func (VirtSeed) Properties() Properties {
 
 // CounterMode is a counter-mode encryption engine: a block cipher keyed
 // with the processor secret plus a seed composer.
+//
+// Every pad comes out of one kernel that encrypts a run of 16-byte seeds in
+// place in the engine's lane buffer: on amd64 with AES-NI an AESENC routine
+// over round keys expanded once, at construction, eight independent lanes
+// at a time; elsewhere a loop over crypto/aes. A page span's pads are one
+// kernel call (EncryptSpan), a block's four are one (EncryptBlock).
+//
+// An engine is not safe for concurrent use: the lanes live inside it.
 type CounterMode struct {
-	cipher   cipher.Block
+	cipher   cipher.Block // the portable kernel
+	rk       roundKeys    // the AES-NI kernel's schedule
 	composer Composer
+	kind     seedKind
 	pads     uint64
 
-	// seed and pad are the cipher's arguments. Slices passed through the
-	// cipher.Block interface escape, so they live here, in the engine's
-	// heap object, rather than on the caller's stack.
-	seed, pad [aes.BlockSize]byte
+	// lanes holds seeds going into the kernel and pads coming out, one
+	// page span's worth. It lives in the engine's heap object so the
+	// portable kernel, which passes it through the cipher.Block
+	// interface, makes no caller buffer escape.
+	lanes [layout.BlocksPerPage * layout.ChunksPerBlock * aes.BlockSize]byte
+}
+
+// roundKeys is the AES-128 key schedule: eleven 16-byte round keys.
+type roundKeys [11 * aes.BlockSize]byte
+
+// seedKind names the built-in composers, so the engine composes their seeds
+// through a concrete switch rather than the Composer interface.
+type seedKind uint8
+
+const (
+	seedOther seedKind = iota
+	seedAISE
+	seedGlobal
+	seedPhys
+	seedVirt
+)
+
+func kindOf(c Composer) seedKind {
+	switch c.(type) {
+	case AISESeed:
+		return seedAISE
+	case GlobalSeed:
+		return seedGlobal
+	case PhysSeed:
+		return seedPhys
+	case VirtSeed:
+		return seedVirt
+	}
+	return seedOther
 }
 
 // NewCounterMode builds a counter-mode engine from the processor's secret
@@ -185,7 +228,9 @@ func NewCounterMode(key []byte, c Composer) (*CounterMode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CounterMode{cipher: ci, composer: c}, nil
+	e := &CounterMode{cipher: ci, composer: c, kind: kindOf(c)}
+	expandKey(&e.rk, (*[16]byte)(key))
+	return e, nil
 }
 
 // newCipher keys AES-128 with the processor secret. crypto/aes would also
@@ -197,11 +242,37 @@ func newCipher(key []byte) (cipher.Block, error) {
 	return aes.NewCipher(key)
 }
 
+// encryptLanesPortable is the kernel off AES-NI: crypto/aes, one lane at a
+// time, in place.
+func (c *CounterMode) encryptLanesPortable(buf []byte) {
+	for ; len(buf) >= aes.BlockSize; buf = buf[aes.BlockSize:] {
+		c.cipher.Encrypt(buf[:aes.BlockSize], buf[:aes.BlockSize])
+	}
+}
+
 // Composer returns the engine's seed composer.
 func (c *CounterMode) Composer() Composer { return c.composer }
 
 // Pads returns how many pad generations the engine has performed.
 func (c *CounterMode) Pads() uint64 { return c.pads }
+
+// compose writes in's seed into lane.
+func (c *CounterMode) compose(lane []byte, in SeedInput) {
+	var s [aes.BlockSize]byte
+	switch c.kind {
+	case seedAISE:
+		s = AISESeed{}.Compose(in)
+	case seedGlobal:
+		s = GlobalSeed{}.Compose(in)
+	case seedPhys:
+		s = PhysSeed{}.Compose(in)
+	case seedVirt:
+		s = VirtSeed{}.Compose(in)
+	default:
+		s = c.composer.Compose(in)
+	}
+	copy(lane, s[:])
+}
 
 // Pad generates the cryptographic pad for one chunk.
 func (c *CounterMode) Pad(in SeedInput) [aes.BlockSize]byte {
@@ -213,29 +284,25 @@ func (c *CounterMode) Pad(in SeedInput) [aes.BlockSize]byte {
 // PadInto generates the cryptographic pad for one chunk into the caller's
 // buffer, avoiding the return-value copy on the per-block path.
 func (c *CounterMode) PadInto(pad *[aes.BlockSize]byte, in SeedInput) {
-	c.seed = c.composer.Compose(in)
-	c.cipher.Encrypt(c.pad[:], c.seed[:])
-	*pad = c.pad
+	lane := c.lanes[:aes.BlockSize]
+	c.compose(lane, in)
+	c.encryptLanes(lane)
+	copy(pad[:], lane)
 	c.pads++
 }
 
 // EncryptBlock encrypts (or, symmetrically, decrypts) a 64-byte block by
 // XORing each 16-byte chunk with its pad. in.Chunk is set per chunk; the
-// other fields apply to the whole block. The XOR runs word-at-a-time over
-// the pad so the whole block costs four cipher calls and no heap traffic.
+// other fields apply to the whole block. The four pads are one kernel call.
 func (c *CounterMode) EncryptBlock(dst, src *mem.Block, in SeedInput) {
-	var pad [aes.BlockSize]byte
+	pads := c.lanes[:layout.BlockSize]
 	for chunk := 0; chunk < layout.ChunksPerBlock; chunk++ {
 		in.Chunk = chunk
-		c.PadInto(&pad, in)
-		off := chunk * aes.BlockSize
-		s := src[off : off+aes.BlockSize : off+aes.BlockSize]
-		d := dst[off : off+aes.BlockSize : off+aes.BlockSize]
-		p0 := binary.LittleEndian.Uint64(pad[0:8])
-		p1 := binary.LittleEndian.Uint64(pad[8:16])
-		binary.LittleEndian.PutUint64(d[0:8], binary.LittleEndian.Uint64(s[0:8])^p0)
-		binary.LittleEndian.PutUint64(d[8:16], binary.LittleEndian.Uint64(s[8:16])^p1)
+		c.compose(pads[chunk*aes.BlockSize:], in)
 	}
+	c.encryptLanes(pads)
+	subtle.XORBytes(dst[:], src[:], pads)
+	c.pads += layout.ChunksPerBlock
 }
 
 // DecryptBlock is the inverse of EncryptBlock. Counter mode is an XOR
@@ -243,6 +310,38 @@ func (c *CounterMode) EncryptBlock(dst, src *mem.Block, in SeedInput) {
 // readable.
 func (c *CounterMode) DecryptBlock(dst, src *mem.Block, in SeedInput) {
 	c.EncryptBlock(dst, src, in)
+}
+
+// EncryptSpan encrypts (or, symmetrically, decrypts) a run of consecutive
+// blocks of one page under AISE: src[i] is the page's block first+i, sealed
+// under (lpid, minors[first+i]). It composes every seed of the run in one
+// loop, byte for byte what AISESeed.Compose gives, and generates all the
+// pads in one kernel call. dst and src may be the same slice. The engine
+// must compose AISE seeds, and the run must stay inside the page.
+func (c *CounterMode) EncryptSpan(dst, src []mem.Block, lpid uint64, minors *[layout.BlocksPerPage]uint8, first int) {
+	if c.kind != seedAISE {
+		panic("encrypt: EncryptSpan needs the AISE composer")
+	}
+	blocks := minors[first : first+len(src)]
+	pads := c.lanes[:len(src)*layout.BlockSize]
+	for i, minor := range blocks {
+		low := uint64(minor&layout.MinorCounterMax)<<56 | uint64(first+i)<<48
+		for chunk := 0; chunk < layout.ChunksPerBlock; chunk++ {
+			lane := pads[(i*layout.ChunksPerBlock+chunk)*aes.BlockSize:]
+			binary.BigEndian.PutUint64(lane[0:8], lpid)
+			binary.BigEndian.PutUint64(lane[8:16], low|uint64(chunk)<<40)
+		}
+	}
+	c.encryptLanes(pads)
+	for i := range src {
+		subtle.XORBytes(dst[i][:], src[i][:], pads[i*layout.BlockSize:])
+	}
+	c.pads += uint64(len(src) * layout.ChunksPerBlock)
+}
+
+// DecryptSpan is the inverse of EncryptSpan, the same operation.
+func (c *CounterMode) DecryptSpan(dst, src []mem.Block, lpid uint64, minors *[layout.BlocksPerPage]uint8, first int) {
+	c.EncryptSpan(dst, src, lpid, minors, first)
 }
 
 // Direct is the direct-mode baseline: AES applied to each chunk of the
@@ -253,8 +352,9 @@ type Direct struct {
 	cipher cipher.Block
 	ops    uint64
 
-	// in and out are the cipher's arguments, heap-resident for the same
-	// reason as CounterMode's seed and pad.
+	// in and out are the cipher's arguments. Slices passed through the
+	// cipher.Block interface escape, so they live here, in the engine's
+	// heap object, rather than on the caller's stack.
 	in, out [aes.BlockSize]byte
 }
 

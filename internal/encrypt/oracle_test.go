@@ -88,19 +88,110 @@ func checkAgainstScratch(t *testing.T, key []byte, in SeedInput, plain *mem.Bloc
 	}
 }
 
-func TestEnginesMatchScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	for i := 0; i < 200; i++ {
-		key := make([]byte, 16)
-		rng.Read(key)
-		var plain mem.Block
-		rng.Read(plain[:])
-		checkAgainstScratch(t, key, randomSeedInput(rng), &plain)
+// checkSpanAgainstScratch compares EncryptSpan over the n blocks from
+// block first of a page against the oracle lane by lane, and DecryptSpan
+// in place against the plaintext.
+func checkSpanAgainstScratch(t *testing.T, key []byte, lpid uint64, minors *[layout.BlocksPerPage]uint8, first int, plain []mem.Block) {
+	t.Helper()
+	oracle, err := scratch.New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewCounterMode(key, AISESeed{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := make([]mem.Block, len(plain))
+	e.EncryptSpan(ct, plain, lpid, minors, first)
+	for i := range plain {
+		for chunk := 0; chunk < layout.ChunksPerBlock; chunk++ {
+			in := SeedInput{PhysAddr: layout.Addr((first + i) * layout.BlockSize), LPID: lpid, Counter: uint64(minors[first+i]), Chunk: chunk}
+			seed := AISESeed{}.Compose(in)
+			var pad [16]byte
+			oracle.Encrypt(pad[:], seed[:])
+			for j := range pad {
+				off := chunk*16 + j
+				if ct[i][off] != plain[i][off]^pad[j] {
+					t.Fatalf("key %x lpid %#x: EncryptSpan(first %d, n %d) block %d byte %d = %#x, oracle %#x",
+						key, lpid, first, len(plain), first+i, off, ct[i][off], plain[i][off]^pad[j])
+				}
+			}
+		}
+	}
+	if got, want := e.Pads(), uint64(len(plain)*layout.ChunksPerBlock); got != want {
+		t.Fatalf("EncryptSpan of %d blocks counted %d pads, want %d", len(plain), got, want)
+	}
+	e.DecryptSpan(ct, ct, lpid, minors, first)
+	for i := range plain {
+		if ct[i] != plain[i] {
+			t.Fatalf("key %x: in-place DecryptSpan(first %d, n %d) did not invert block %d", key, first, len(plain), first+i)
+		}
 	}
 }
 
+// randomSpan draws a span of 1..64 blocks at any first block that keeps it
+// inside the page, with random minors and plaintext.
+func randomSpan(rng *rand.Rand) (minors *[layout.BlocksPerPage]uint8, first int, plain []mem.Block) {
+	minors = new([layout.BlocksPerPage]uint8)
+	for i := range minors {
+		minors[i] = uint8(rng.Intn(layout.MinorCounterMax + 1))
+	}
+	n := 1 + rng.Intn(layout.BlocksPerPage)
+	first = rng.Intn(layout.BlocksPerPage - n + 1)
+	plain = make([]mem.Block, n)
+	for i := range plain {
+		rng.Read(plain[i][:])
+	}
+	return minors, first, plain
+}
+
+// eachKernel runs f once per pad kernel the engine can use.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, aesni := range []bool{true, false} {
+		name := "portable"
+		if aesni {
+			name = "aesni"
+		}
+		t.Run(name, func(t *testing.T) {
+			if !setKernel(t, aesni) {
+				t.Skip("no AES-NI on this CPU; the portable leg covers the engine")
+			}
+			f(t)
+		})
+	}
+}
+
+func TestEnginesMatchScratch(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(32))
+		for i := 0; i < 200; i++ {
+			key := make([]byte, 16)
+			rng.Read(key)
+			var plain mem.Block
+			rng.Read(plain[:])
+			checkAgainstScratch(t, key, randomSeedInput(rng), &plain)
+			minors, first, span := randomSpan(rng)
+			checkSpanAgainstScratch(t, key, rng.Uint64(), minors, first, span)
+		}
+		// Every span length at every first block it fits at.
+		key := make([]byte, 16)
+		rng.Read(key)
+		minors, _, _ := randomSpan(rng)
+		for n := 1; n <= layout.BlocksPerPage; n++ {
+			for first := 0; first+n <= layout.BlocksPerPage; first += 1 + rng.Intn(8) {
+				plain := make([]mem.Block, n)
+				for i := range plain {
+					rng.Read(plain[i][:])
+				}
+				checkSpanAgainstScratch(t, key, rng.Uint64(), minors, first, plain)
+			}
+		}
+	})
+}
+
 // FuzzEngineMatchesScratch fuzzes the same comparison over arbitrary keys,
-// seed fields and blocks.
+// seed fields and blocks, on each kernel. The span leg takes its first
+// block and length from the address and its minors from the block bytes.
 func FuzzEngineMatchesScratch(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), uint64(0x1000), uint64(99), uint64(7), uint32(42), []byte("plaintext"))
 	f.Add(make([]byte, 16), uint64(0), uint64(0), uint64(0), uint32(0), make([]byte, 64))
@@ -111,7 +202,20 @@ func FuzzEngineMatchesScratch(f *testing.F) {
 		var plain mem.Block
 		copy(plain[:], block)
 		in := SeedInput{PhysAddr: layout.Addr(addr), VirtAddr: addr ^ lpid, PID: pid, LPID: lpid, Counter: ctr}
-		checkAgainstScratch(t, key[:16], in, &plain)
+
+		var minors [layout.BlocksPerPage]uint8
+		copy(minors[:], block)
+		first := int(addr % layout.BlocksPerPage)
+		n := 1 + int(ctr%uint64(layout.BlocksPerPage-first))
+		span := make([]mem.Block, n)
+		for i := range span {
+			span[i] = plain
+			span[i][0] ^= byte(i)
+		}
+		eachKernel(t, func(t *testing.T) {
+			checkAgainstScratch(t, key[:16], in, &plain)
+			checkSpanAgainstScratch(t, key[:16], lpid, &minors, first, span)
+		})
 	})
 }
 
@@ -136,6 +240,14 @@ func TestEnginesZeroAlloc(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: EncryptBlock allocates %v per call, want 0", comp.Name(), n)
 		}
+	}
+	e := ctrEngine(t, AISESeed{})
+	if n := testing.AllocsPerRun(100, func() {
+		var src, dst [layout.BlocksPerPage]mem.Block
+		var minors [layout.BlocksPerPage]uint8
+		e.EncryptSpan(dst[:], src[:], 42, &minors, 0)
+	}); n != 0 {
+		t.Errorf("EncryptSpan allocates %v per call, want 0", n)
 	}
 	d, err := NewDirect(testKey)
 	if err != nil {

@@ -35,6 +35,10 @@ type DataMACStore struct {
 	want [32]byte
 	got  [32]byte
 
+	// slots holds one page span's contiguous MAC slots, moved to or from
+	// memory in one transfer by VerifySpan and UpdateSpan.
+	slots [layout.BlocksPerPage * 32]byte
+
 	// MACOps counts HMAC computations for the experiment harness.
 	MACOps uint64
 }
@@ -88,6 +92,38 @@ func (s *DataMACStore) Verify(a layout.Addr, ct *mem.Block, lpid uint64, minor u
 		return &Error{Addr: a, Level: -1, Node: s.SlotAddr(a)}
 	}
 	return nil
+}
+
+// VerifySpan checks a run of consecutive data blocks of one page: cts[i] is
+// the ciphertext of the block at first + i blocks, encrypted under (lpid,
+// minors[its block-in-page]). The run's MAC slots are contiguous and are
+// read in one transfer, so each MAC block crosses the bus once, not once
+// per slot. The first mismatch in address order is reported exactly as
+// Verify reports it.
+func (s *DataMACStore) VerifySpan(first layout.Addr, cts []mem.Block, lpid uint64, minors *[layout.BlocksPerPage]uint8) error {
+	slots := s.slots[:len(cts)*s.macBytes]
+	s.m.Read(s.SlotAddr(first), slots)
+	want := s.want[:s.macBytes]
+	for i := range cts {
+		a := first + layout.Addr(i*layout.BlockSize)
+		bip := a.BlockInPage()
+		s.computeInto(want, &cts[i], lpid, minors[bip], bip)
+		if !macEqual(want, slots[i*s.macBytes:(i+1)*s.macBytes]) {
+			return &Error{Addr: a, Level: -1, Node: s.SlotAddr(a)}
+		}
+	}
+	return nil
+}
+
+// UpdateSpan recomputes the MACs of a run of consecutive data blocks of one
+// page, laid out as in VerifySpan, and stores them in one transfer.
+func (s *DataMACStore) UpdateSpan(first layout.Addr, cts []mem.Block, lpid uint64, minors *[layout.BlocksPerPage]uint8) {
+	slots := s.slots[:len(cts)*s.macBytes]
+	for i := range cts {
+		bip := (first + layout.Addr(i*layout.BlockSize)).BlockInPage()
+		s.computeInto(slots[i*s.macBytes:(i+1)*s.macBytes], &cts[i], lpid, minors[bip], bip)
+	}
+	s.m.Write(s.SlotAddr(first), slots)
 }
 
 // MACOnlyStore is the XOM-style baseline: one MAC per block over

@@ -87,6 +87,64 @@ func TestDataMACPositionIndependentAcrossFrames(t *testing.T) {
 	}
 }
 
+// TestDataMACSpanMatchesBlockwise holds the span calls to the per-block
+// ones at every MAC width: UpdateSpan stores the slots a loop of Update
+// stores in one transfer per touched MAC block, and VerifySpan blames the
+// first bad block of the run exactly as Verify does.
+func TestDataMACSpanMatchesBlockwise(t *testing.T) {
+	const page = layout.Addr(3 * layout.PageSize)
+	for _, bits := range []int{32, 64, 128, 256} {
+		var minors [layout.BlocksPerPage]uint8
+		cts := make([]mem.Block, 20)
+		for i := range minors {
+			minors[i] = uint8(i * 7 % (layout.MinorCounterMax + 1))
+		}
+		for i := range cts {
+			cts[i][0], cts[i][63] = byte(i), byte(bits)
+		}
+		first := page + 9*layout.BlockSize
+		stores := [2]*DataMACStore{}
+		mems := [2]*mem.Memory{}
+		for k := range stores {
+			mems[k] = mem.New(1 << 20)
+			var err error
+			if stores[k], err = NewDataMACStore(mems[k], testKey, bits, 256<<10, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stores[0].UpdateSpan(first, cts, 77, &minors)
+		for i := range cts {
+			a := first + layout.Addr(i*layout.BlockSize)
+			stores[1].Update(a, &cts[i], 77, minors[a.BlockInPage()])
+		}
+		macBytes := bits / 8
+		slots := func(k int) []byte {
+			return slotBytes(mems[k], stores[k].SlotAddr(first), len(cts)*macBytes)
+		}
+		if !bytes.Equal(slots(0), slots(1)) {
+			t.Fatalf("%d bits: UpdateSpan stored other slots than a loop of Update", bits)
+		}
+		if touched := uint64((int(stores[0].SlotAddr(first))%layout.BlockSize + len(cts)*macBytes + layout.BlockSize - 1) / layout.BlockSize); mems[0].Writes != touched {
+			t.Errorf("%d bits: UpdateSpan wrote %d MAC blocks, want %d (one per block touched)", bits, mems[0].Writes, touched)
+		}
+		if err := stores[0].VerifySpan(first, cts, 77, &minors); err != nil {
+			t.Fatalf("%d bits: clean VerifySpan: %v", bits, err)
+		}
+		for _, bad := range []int{0, 13, len(cts) - 1} {
+			tampered := append([]mem.Block(nil), cts...)
+			tampered[bad][5] ^= 1
+			tampered[len(cts)-1][6] ^= 1 // a later failure must not win
+			a := first + layout.Addr(bad*layout.BlockSize)
+			want := stores[1].Verify(a, &tampered[bad], 77, minors[a.BlockInPage()])
+			got := stores[0].VerifySpan(first, tampered, 77, &minors)
+			var ge, we *Error
+			if !errors.As(got, &ge) || !errors.As(want, &we) || *ge != *we {
+				t.Errorf("%d bits, block %d tampered: VerifySpan = %v, Verify = %v", bits, bad, got, want)
+			}
+		}
+	}
+}
+
 func TestMACOnlyDetectsSpoofingAndSplicing(t *testing.T) {
 	m := mem.New(1 << 20)
 	s, err := NewMACOnlyStore(m, testKey, 128, 256<<10, 0)

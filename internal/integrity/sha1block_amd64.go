@@ -1,8 +1,10 @@
 package integrity
 
+import "aisebmt/internal/cpuid"
+
 // haveSHANI reports whether the CPU has the SHA extensions and the SSSE3
 // and SSE4.1 instructions blockSHANI also uses.
-var haveSHANI = cpuHasSHANI()
+var haveSHANI = cpuid.HasSHANI
 
 // useSHANI selects blockSHANI in block. It is a variable, not a constant,
 // only so the tests can run the portable compression on the same CPU.
@@ -24,21 +26,3 @@ func block(h *[5]uint32, p []byte) {
 //
 //go:noescape
 func blockSHANI(h *[5]uint32, p []byte)
-
-// cpuid executes CPUID with the given leaf and subleaf.
-func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-
-func cpuHasSHANI() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	_, ebx7, _, _ := cpuid(7, 0)
-	const (
-		ssse3  = 1 << 9  // leaf 1 ECX
-		sse41  = 1 << 19 // leaf 1 ECX
-		shaExt = 1 << 29 // leaf 7 EBX
-	)
-	return ecx1&ssse3 != 0 && ecx1&sse41 != 0 && ebx7&shaExt != 0
-}

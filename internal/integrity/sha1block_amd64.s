@@ -124,14 +124,3 @@ done:
 DATA flipMask<>+0(SB)/8, $0x08090a0b0c0d0e0f
 DATA flipMask<>+8(SB)/8, $0x0001020304050607
 GLOBL flipMask<>(SB), RODATA|NOPTR, $16
-
-// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL subleaf+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET

@@ -63,6 +63,14 @@ func (s *opStream) span(size uint64, max int) (layout.Addr, int) {
 	return layout.Addr(a), n
 }
 
+// blockRun draws a block-aligned address and a count of 1..3 pages of
+// blocks that fits in size.
+func (s *opStream) blockRun(size uint64) (layout.Addr, int) {
+	a, n := s.span(size, 3*layout.PageSize)
+	a = a.BlockAddr()
+	return a, min((n+layout.BlockSize-1)/layout.BlockSize, int(size-uint64(a))/layout.BlockSize)
+}
+
 // fill returns n bytes: all zero when the stream says so (zero-valued
 // stores must still populate), otherwise a pattern seeded from the stream.
 func (s *opStream) fill(n int) []byte {
@@ -101,7 +109,7 @@ func runAgainstOracle(t *testing.T, data []byte) {
 	}
 	var saved []byte
 	for step := 0; !s.done && step < 400; step++ {
-		op := s.next() % 10
+		op := s.next() % 12
 		switch op {
 		case 0:
 			a, _ := s.span(size, 1)
@@ -165,6 +173,22 @@ func runAgainstOracle(t *testing.T, data []byte) {
 			if g.PopulatedBlocks() != w.PopulatedBlocks() {
 				t.Fatalf("step %d: PopulatedBlocks after round trip %d, oracle %d", step, g.PopulatedBlocks(), w.PopulatedBlocks())
 			}
+		case 10:
+			a, k := s.blockRun(size)
+			g, w := make([]Block, k), make([]Block, k)
+			got.ReadBlocks(a, g)
+			want.ReadBlocks(a, w)
+			if !slices.Equal(g, w) {
+				t.Fatalf("step %d: ReadBlocks(%#x, %d) differs", step, a, k)
+			}
+		case 11:
+			a, k := s.blockRun(size)
+			src := make([]Block, k)
+			for i := range src {
+				copy(src[i][:], s.fill(layout.BlockSize))
+			}
+			got.WriteBlocks(a, src)
+			want.WriteBlocks(a, src)
 		case 8, 9:
 			// Load an earlier image over the live state (blocks merge),
 			// corrupted at one byte for op 9: both must accept or refuse

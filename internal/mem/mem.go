@@ -162,12 +162,15 @@ func (m *Memory) copyIn(a layout.Addr, src []byte) {
 }
 
 // transfer counts and reports a processor-visible access to the blocks
-// first..last: a read of each, and a write of each if write is set.
-func (m *Memory) transfer(first, last layout.Addr, write bool) {
+// first..last, block by block: a read of each if read is set, then a write
+// of it if write is set.
+func (m *Memory) transfer(first, last layout.Addr, read, write bool) {
 	for a := first; a <= last; a += layout.BlockSize {
-		m.Reads++
-		if m.Observer != nil {
-			m.Observer("read", a)
+		if read {
+			m.Reads++
+			if m.Observer != nil {
+				m.Observer("read", a)
+			}
 		}
 		if write {
 			m.Writes++
@@ -204,6 +207,40 @@ func (m *Memory) WriteBlock(a layout.Addr, src *Block) {
 	}
 }
 
+// ReadBlocks copies the len(dst) consecutive blocks starting at the
+// (block-aligned) address into dst under one acquisition of the lock. It
+// counts and reports the block reads a loop of ReadBlock calls would, in
+// the same order.
+func (m *Memory) ReadBlocks(a layout.Addr, dst []Block) {
+	if len(dst) == 0 {
+		return
+	}
+	first, last := m.checkSpan(a.BlockAddr(), len(dst)*layout.BlockSize)
+	m.mu.RLock()
+	for i := range dst {
+		dst[i] = *m.load(first + layout.Addr(i*layout.BlockSize))
+	}
+	m.mu.RUnlock()
+	m.transfer(first, last, true, false)
+}
+
+// WriteBlocks stores src as the len(src) consecutive blocks starting at the
+// (block-aligned) address under one acquisition of the lock. It counts and
+// reports the block writes a loop of WriteBlock calls would, in the same
+// order.
+func (m *Memory) WriteBlocks(a layout.Addr, src []Block) {
+	if len(src) == 0 {
+		return
+	}
+	first, last := m.checkSpan(a.BlockAddr(), len(src)*layout.BlockSize)
+	m.mu.Lock()
+	for i := range src {
+		*m.store(first + layout.Addr(i*layout.BlockSize)) = src[i]
+	}
+	m.mu.Unlock()
+	m.transfer(first, last, false, true)
+}
+
 // Read copies n = len(dst) bytes starting at a, crossing blocks as needed.
 // It counts and reports one block read per block touched, as a loop of
 // ReadBlock calls would.
@@ -219,7 +256,7 @@ func (m *Memory) Read(a layout.Addr, dst []byte) {
 		a += layout.Addr(n)
 	}
 	m.mu.RUnlock()
-	m.transfer(first, last, false)
+	m.transfer(first, last, true, false)
 }
 
 // Write stores src starting at a, crossing blocks as needed. Each block
@@ -233,7 +270,7 @@ func (m *Memory) Write(a layout.Addr, src []byte) {
 	m.mu.Lock()
 	m.copyIn(a, src)
 	m.mu.Unlock()
-	m.transfer(first, last, true)
+	m.transfer(first, last, true, true)
 }
 
 // PopulatedBlocks returns the number of blocks that have ever been written,

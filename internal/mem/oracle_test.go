@@ -62,6 +62,18 @@ func (m *mapMemory) WriteBlock(a layout.Addr, src *Block) {
 	}
 }
 
+func (m *mapMemory) ReadBlocks(a layout.Addr, dst []Block) {
+	for i := range dst {
+		m.ReadBlock(a+layout.Addr(i*layout.BlockSize), &dst[i])
+	}
+}
+
+func (m *mapMemory) WriteBlocks(a layout.Addr, src []Block) {
+	for i := range src {
+		m.WriteBlock(a+layout.Addr(i*layout.BlockSize), &src[i])
+	}
+}
+
 func (m *mapMemory) Read(a layout.Addr, dst []byte) {
 	for len(dst) > 0 {
 		var blk Block

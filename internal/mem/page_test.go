@@ -140,6 +140,54 @@ func TestConcurrentAttackerAccess(t *testing.T) {
 	}
 }
 
+// TestConcurrentSpanTransfers: an attacker goroutine tampers while the
+// controller moves page spans with ReadBlocks and WriteBlocks, first
+// touches of pages included. Run under -race; the traffic counters, which
+// only the controller side updates, must count every block.
+func TestConcurrentSpanTransfers(t *testing.T) {
+	const size = 32 * layout.PageSize
+	m := New(size)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := rand.New(rand.NewSource(2))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a := layout.Addr(r.Intn(size - 8))
+			if i%2 == 0 {
+				m.Tamper(a, Block{byte(i)})
+			} else {
+				m.TamperBytes(a, []byte{1, 2, 3, 4, 5, 6, 7})
+			}
+		}
+	}()
+	var span [layout.BlocksPerPage]Block
+	var blocks uint64
+	for pass := 0; pass < 4; pass++ {
+		for a := layout.Addr(0); a < size; a += layout.PageSize {
+			n := 1 + int(a/layout.PageSize+layout.Addr(pass))%layout.BlocksPerPage
+			for i := range span[:n] {
+				span[i] = Block{0: byte(pass), 1: byte(i)}
+			}
+			first := a + layout.Addr((layout.BlocksPerPage-n)*layout.BlockSize)
+			m.WriteBlocks(first, span[:n])
+			m.ReadBlocks(first, span[:n])
+			blocks += uint64(n)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if m.Reads != blocks || m.Writes != blocks {
+		t.Errorf("traffic %d reads, %d writes; want %d each", m.Reads, m.Writes, blocks)
+	}
+}
+
 // blockStore is what the benchmarks drive, so each runs against the page
 // directory and the map reference in one binary.
 type blockStore interface {
