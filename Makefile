@@ -17,55 +17,38 @@
 #                        untrusted-memory model against its map oracle and
 #                        the controller's AES/HMAC engines against the
 #                        from-scratch ciphers; CI runs this after check
-#   make bench           service benchmark: start secmemd, drive it with
-#                        loadgen, write BENCH_service.json
-#   make bench-recovery  crash-recovery benchmark: restart-to-first-byte vs
-#                        WAL length per fsync policy, BENCH_recovery.json
-#   make bench-integrity Merkle tree update-engine benchmarks: batched,
-#                        coalescing passes vs the frozen serial reference
-#                        walk, plus e2e pool write throughput,
-#                        BENCH_integrity.json
+#   make bench           the service benchmark (go run ./bench): the real
+#                        secmemd under the four BENCHMARK.json workloads,
+#                        end-to-end metrics per workload; exits non-zero
+#                        if any run is not correct
+#   make bench-quick     the same in its smoke shape (one 2s slice, one
+#                        restart); CI runs this after check
 #   make bench-smoke     one-iteration pass over every microbenchmark (CI
-#                        keeps them compiling and allocation-clean)
-#   make metrics-smoke   start a daemon with observability on, drive traced
-#                        traffic, lint the /metrics exposition (prefix,
-#                        HELP/TYPE, duplicates); CI runs this after check
-#   make bench-cluster   cluster benchmark: 3-node smoke with metrics lint,
-#                        then single-daemon vs cluster throughput and a
-#                        kill-the-owner failover phase, BENCH_cluster.json
-#   make cluster-smoke   the same at CI sizes (short duration, small pool);
-#                        CI runs this after check
-#   make lifecycle-smoke cluster lifecycle end-to-end over real daemons:
-#                        admin join via the wire op, kill-the-owner failover
-#                        with automatic re-replication, fenced rejoin of the
-#                        stale member, admin leave with verified handoff;
-#                        CI runs this after the cluster smoke
+#                        keeps them compiling and allocation-clean),
+#                        including the tree engine's serial-reference pair
+#   make smoke           end-to-end smoke over real secmemd processes
+#                        (cmd/secmemd/smoke_test.go, build tag smoke):
+#                        metrics lint and spot checks, a cordoned shard,
+#                        tenant churn/pressure/overflow and SIGKILL
+#                        recovery, cluster failover with zero acked-write
+#                        loss, and the join/failover/fenced-rejoin/leave
+#                        lifecycle; CI runs this after check
 #   make cluster         run a local 3-node cluster + router in the
 #                        foreground (the README quickstart); Ctrl-C stops it
 #   make chaos           deterministic fault-injection matrix (cmd/chaos):
 #                        bit-flips, rollback, WAL faults, torn writes, slow
 #                        I/O and multi-tenant attacks against a live durable
 #                        pool; CI runs a short smoke of it
-#   make tenant-smoke    start a tenant-enabled daemon (swap scheme +
-#                        resident budget), drive tenant churn over the wire,
-#                        lint the exposition incl. secmemd_tenant_*, then
-#                        SIGKILL a tenant-durable daemon and assert the
-#                        restart serves every acked tenant byte; CI runs
-#                        this after check
-#   make bench-tenants   multi-tenant benchmark suites: lifecycle churn
-#                        (with a -tenant-serialize A/B baseline),
-#                        swap-under-pressure with client-side shadowing,
-#                        counter-overflow re-encryption storm, SIGKILL
-#                        kill-and-recover, BENCH_tenants.json
 
 GO ?= go
 
-.PHONY: check vet build cross test race fuzz fuzz-smoke bench bench-recovery bench-integrity bench-smoke chaos chaos-smoke metrics-smoke bench-cluster cluster-smoke lifecycle-smoke cluster tenant-smoke bench-tenants
+.PHONY: check vet build cross test race fuzz fuzz-smoke bench bench-quick bench-smoke smoke chaos chaos-smoke cluster
 
 check: vet build cross test race
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags smoke ./cmd/secmemd/
 
 build:
 	$(GO) build ./...
@@ -106,35 +89,17 @@ chaos: build
 chaos-smoke: build
 	$(GO) run ./cmd/chaos -rounds 1 -q
 
-bench: build
-	./scripts/bench_service.sh
+bench:
+	$(GO) run ./bench
 
-bench-recovery: build
-	./scripts/bench_recovery.sh
-
-bench-integrity:
-	./scripts/bench_integrity.sh
+bench-quick:
+	$(GO) run ./bench -quick
 
 bench-smoke:
 	$(GO) test -run=none -bench . -benchtime 1x ./internal/mem/... ./internal/crypto/... ./internal/encrypt/... ./internal/counter/... ./internal/integrity/... ./internal/core/... ./internal/shard/... .
 
-metrics-smoke: build
-	./scripts/metrics_smoke.sh
-
-bench-cluster: build
-	./scripts/bench_cluster.sh
-
-cluster-smoke: build
-	DURATION=1s MEM=4MiB CONNS=4 ./scripts/bench_cluster.sh
-
-lifecycle-smoke: build
-	./scripts/lifecycle_smoke.sh
+smoke:
+	$(GO) test -tags smoke -count=1 ./cmd/secmemd/
 
 cluster: build
 	./scripts/cluster_local.sh
-
-tenant-smoke: build
-	./scripts/tenant_smoke.sh
-
-bench-tenants: build
-	./scripts/bench_tenants.sh

@@ -8,10 +8,11 @@
 //	secmemd -data-dir /var/lib/secmemd -fsync always -snapshot-every 1m
 //
 // The daemon serves read/write/verify/root/stats/swapout/swapin/hibernate
-// requests (drive it with cmd/loadgen) and shuts down gracefully on
-// SIGINT/SIGTERM: it stops accepting work, drains every shard queue, and
-// verifies the integrity of every shard before exiting. A non-zero exit
-// code after a signal means the final integrity sweep failed.
+// requests (the benchmark harness, go run ./bench, drives it end to end)
+// and shuts down gracefully on SIGINT/SIGTERM: it stops accepting work,
+// drains every shard queue, and verifies the integrity of every shard
+// before exiting. A non-zero exit code after a signal means the final
+// integrity sweep failed.
 //
 // With -data-dir the daemon is durable: every mutation is group-committed
 // to a per-shard write-ahead log before it is acknowledged (-fsync picks
@@ -68,7 +69,6 @@ func main() {
 	swapSlots := flag.Int("swapslots", 64, "Page Root Directory slots per shard (0 disables swap)")
 	residentPages := flag.Int("resident-pages", 0, "tenant memory-pressure budget: swap cold tenant pages out once more than this many are resident (0 disables the controller; requires a swap-capable scheme)")
 	tenantDurable := flag.Bool("tenant-durable", true, "journal tenant address spaces through -data-dir with the pool's -fsync guarantee: a restarted daemon serves every acknowledged tenant byte after a process crash, and after a power cut too under -fsync always (batch/off roll tenants back to a consistent prefix); no effect without -data-dir; the raw swapout/swapin wire ops are refused")
-	tenantSerialize := flag.Bool("tenant-serialize", false, "serialize every tenant operation under one global mutex (the pre-per-tenant-locking baseline, kept for A/B benchmarks)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout (queueing included)")
 	hibPath := flag.String("hibernate", "secmemd.hib", "file the hibernate operation writes the pool image to (ignored with -data-dir)")
 	keyHex := flag.String("key", "", "32 hex chars of processor key (default: a fixed demo key)")
@@ -89,7 +89,6 @@ func main() {
 	rereplGrace := flag.Duration("rerepl-grace", 0, "bound on the single-copy grace window after a promotion before writes stall on re-replication (0 = default)")
 	treeWorkers := flag.Int("tree-workers", 4, "hash fan-out of the batched Merkle tree update engine per shard batch (<=1 hashes on the worker goroutine)")
 	treeCache := flag.Int("tree-cache", 1024, "write-back cache of tree node storage blocks per shard (0 disables)")
-	treeSerialRef := flag.Bool("tree-serial-ref", false, "route tree updates through the frozen serial reference walk (benchmark baseline; disables batching and -tree-cache)")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
@@ -225,11 +224,7 @@ func main() {
 			SwapSlots:           slots,
 			TreeUpdateWorkers:   *treeWorkers,
 			TreeNodeCacheBlocks: *treeCache,
-			TreeSerialRef:       *treeSerialRef,
 		},
-	}
-	if *treeSerialRef {
-		cfg.Core.TreeNodeCacheBlocks = 0
 	}
 
 	var store *persist.Store
@@ -377,7 +372,6 @@ func main() {
 			tcfg := tenant.Config{
 				Pool:          pool,
 				ResidentPages: *residentPages,
-				Serialize:     *tenantSerialize,
 				Obs:           obsSvc,
 			}
 			var tsvc *tenant.Service

@@ -2,8 +2,8 @@
 // wire protocol: it computes each page's owner on the consistent-hash
 // ring, forwards the request over a pooled connection, follows NotOwner
 // redirects, and falls back to the owner's successors when it is down —
-// so clients that know nothing about the cluster (cmd/loadgen in its
-// default mode, the plain server.Client) get location transparency.
+// so clients that know nothing about the cluster (the plain server.Client)
+// get location transparency.
 //
 // Usage:
 //

@@ -3,6 +3,7 @@ package aisebmt
 import (
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,40 +11,125 @@ import (
 	"testing"
 )
 
-// TestServiceCryptoImportFence keeps the controller's engines on the
-// standard library ciphers: no non-test file in internal/encrypt or
-// internal/integrity may import the from-scratch internal/crypto packages,
-// which serve those packages' tests as the differential oracle.
-func TestServiceCryptoImportFence(t *testing.T) {
-	for _, dir := range []string{"internal/encrypt", "internal/integrity"} {
-		entries, err := os.ReadDir(dir)
+// reproductionStack lists the packages of the paper reproduction: the
+// cycle simulator and its models, the experiment drivers and the attack
+// demonstrations. Everything else under internal/ is the service stack.
+var reproductionStack = []string{
+	"sim", "cache", "bus", "engine", "trace", "experiments", "report", "paper", "attack", "hide", "cli",
+}
+
+// serviceCommands are the service front ends outside internal/. The
+// reproduction's commands (attacksim, experiments, secmemsim, tracegen)
+// and examples/ may import either stack.
+var serviceCommands = []string{"cmd/secmemd", "cmd/secmemrouter", "cmd/chaos", "cmd/metricslint", "bench"}
+
+// sanctionedEdges are the service → reproduction imports allowed by
+// name: the chaos harness replays the attack package's tamper
+// primitives against a live durable pool.
+var sanctionedEdges = map[[2]string]bool{
+	{"internal/chaos", "internal/attack"}: true,
+}
+
+// packageImports parses the non-test files of the package in dir and
+// returns its module-relative imports, and whether it has any files.
+func packageImports(t *testing.T, dir string) ([]string, bool) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	found := false
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		found = true
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, name), nil, parser.ImportsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked := 0
-		for _, e := range entries {
-			name := e.Name()
-			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			path := filepath.Join(dir, name)
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, imp := range f.Imports {
-				p, err := strconv.Unquote(imp.Path.Value)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p == "aisebmt/internal/crypto" || strings.HasPrefix(p, "aisebmt/internal/crypto/") {
-					t.Errorf("%s imports %s; the service engines bind the standard library ciphers", path, p)
-				}
+			if rel, ok := strings.CutPrefix(p, "aisebmt/"); ok {
+				out = append(out, rel)
 			}
+		}
+	}
+	return out, found
+}
+
+// TestServiceCryptoImportFence fences the two stacks apart at the
+// import graph.
+//
+// The controller's engines stay on the standard library ciphers: no
+// non-test file in internal/encrypt or internal/integrity may import the
+// from-scratch internal/crypto packages, which serve those packages'
+// tests as the differential oracle.
+//
+// No service package (internal/ outside reproductionStack, plus
+// serviceCommands) may import a reproduction package, except through a
+// sanctionedEdges entry. A direct-edge check suffices: any path from the
+// service stack into the reproduction stack crosses one such edge.
+func TestServiceCryptoImportFence(t *testing.T) {
+	for _, dir := range []string{"internal/encrypt", "internal/integrity"} {
+		imps, found := packageImports(t, dir)
+		if !found {
+			t.Errorf("%s: no package files found", dir)
+		}
+		for _, p := range imps {
+			if p == "internal/crypto" || strings.HasPrefix(p, "internal/crypto/") {
+				t.Errorf("%s imports %s; the service engines bind the standard library ciphers", dir, p)
+			}
+		}
+	}
+
+	repro := func(pkg string) bool {
+		for _, r := range reproductionStack {
+			if pkg == "internal/"+r || strings.HasPrefix(pkg, "internal/"+r+"/") {
+				return true
+			}
+		}
+		return false
+	}
+	service := append([]string(nil), serviceCommands...)
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && !repro(filepath.ToSlash(path)) {
+			service = append(service, filepath.ToSlash(path))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[[2]string]bool{}
+	checked := 0
+	for _, pkg := range service {
+		imps, found := packageImports(t, pkg)
+		if found {
 			checked++
 		}
-		if checked == 0 {
-			t.Errorf("%s: no package files found", dir)
+		for _, p := range imps {
+			if !repro(p) {
+				continue
+			}
+			if edge := [2]string{pkg, p}; sanctionedEdges[edge] {
+				used[edge] = true
+				continue
+			}
+			t.Errorf("service package %s imports reproduction package %s", pkg, p)
+		}
+	}
+	if checked < len(serviceCommands)+10 {
+		t.Errorf("only %d service packages found; is the test running from the module root?", checked)
+	}
+	for edge := range sanctionedEdges {
+		if !used[edge] {
+			t.Errorf("sanctioned edge %s → %s no longer exists; drop it from sanctionedEdges", edge[0], edge[1])
 		}
 	}
 }

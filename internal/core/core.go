@@ -136,11 +136,6 @@ type Config struct {
 	// blocks (0 disables). Dirty nodes reach memory on eviction or at the
 	// flush before any hibernate/checkpoint seal.
 	TreeNodeCacheBlocks int
-	// TreeSerialRef routes every tree update through the frozen serial
-	// reference walk (integrity.Tree.UpdateBlockRef) instead of the batched
-	// engine — the benchmark "before" configuration. Incompatible with
-	// TreeNodeCacheBlocks.
-	TreeSerialRef bool
 }
 
 // Stats counts the controller's work for experiments and examples.
@@ -262,9 +257,6 @@ func newController(cfg Config) (*SecureMemory, error) {
 	}
 	if len(cfg.Key) != 16 {
 		return nil, fmt.Errorf("core: key must be 16 bytes, got %d", len(cfg.Key))
-	}
-	if cfg.TreeSerialRef && cfg.TreeNodeCacheBlocks > 0 {
-		return nil, fmt.Errorf("core: TreeSerialRef bypasses the node cache; TreeNodeCacheBlocks must be 0")
 	}
 	s := &SecureMemory{cfg: cfg}
 	dataBlocks := cfg.DataBytes / layout.BlockSize

@@ -47,12 +47,8 @@ func (s *SecureMemory) AbortTreeBatch() {
 }
 
 // treeUpdate routes one tree update: deferred into the open batch window,
-// straight through the serial reference walk under TreeSerialRef (the
-// benchmark "before" configuration), or eagerly otherwise.
+// or eagerly otherwise.
 func (s *SecureMemory) treeUpdate(a layout.Addr) error {
-	if s.cfg.TreeSerialRef {
-		return s.tree.UpdateBlockRef(a)
-	}
 	if s.treeDepth > 0 {
 		s.treeDirty = append(s.treeDirty, a)
 		return nil

@@ -157,45 +157,6 @@ func TestTreeBatchHibernateMidWindow(t *testing.T) {
 	}
 }
 
-// TestTreeSerialRefMatches pins the frozen reference configuration to the
-// batched engine's results end to end.
-func TestTreeSerialRefMatches(t *testing.T) {
-	refCfg := batchConfig()
-	refCfg.TreeSerialRef = true
-	ref, err := New(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := batchConfig()
-	cfg.TreeUpdateWorkers = 4
-	cfg.TreeNodeCacheBlocks = 128
-	batched, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeSpread(t, ref, 5)
-	batched.BeginTreeBatch()
-	writeSpread(t, batched, 5)
-	if err := batched.EndTreeBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ref.Root(), batched.Root()) {
-		t.Fatal("serial reference and batched engine disagree on the root")
-	}
-	if err := ref.VerifyAll(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTreeSerialRefRejectsCache(t *testing.T) {
-	cfg := batchConfig()
-	cfg.TreeSerialRef = true
-	cfg.TreeNodeCacheBlocks = 16
-	if _, err := New(cfg); err == nil {
-		t.Fatal("TreeSerialRef + node cache accepted")
-	}
-}
-
 // TestTreeBatchSwapMidWindow exercises the swap path's barrier: swap-out
 // and swap-in inside an open window must see committed tree state.
 func TestTreeBatchSwapMidWindow(t *testing.T) {

@@ -10,11 +10,14 @@ import (
 )
 
 // Microbenchmarks for the batched tree-update engine against its frozen
-// serial reference. Both live in one binary, so old and new run under
-// identical conditions; scripts/bench_integrity.sh pairs them up into
-// BENCH_integrity.json. The unit of work is one shard-drain-sized batch
-// of leaf updates (benchBatchLen leaves), so ns/op is directly comparable
-// between the serial replay and the coalesced pass.
+// serial reference (ref_test.go). Both live in one binary, so old and new
+// run under identical conditions:
+//
+//	go test -run=none -bench 'TreeBatch' -count=3 ./internal/integrity/
+//
+// The unit of work is one shard-drain-sized batch of leaf updates
+// (benchBatchLen leaves), so ns/op is directly comparable between the
+// serial replay and the coalesced pass.
 
 const (
 	benchRegionSize = 1 << 20 // 16384 leaves, 7 MAC levels at 128-bit nodes

@@ -114,8 +114,8 @@ func (c *nodeCache) reset() {
 // EnableNodeCache attaches a write-back cache of up to capBlocks node
 // storage blocks to the tree (capBlocks <= 0 detaches). It must be called
 // before the tree is used — switching caches mid-stream would strand dirty
-// state — and must not be combined with UpdateBlockRef, which bypasses the
-// cache by design.
+// state — and must not be combined with the test-only serial reference walk
+// (UpdateBlockRef), which bypasses the cache by design.
 func (t *Tree) EnableNodeCache(capBlocks int) {
 	if capBlocks <= 0 {
 		t.cache = nil

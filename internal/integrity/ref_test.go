@@ -9,9 +9,10 @@ import (
 
 // UpdateBlockRef is the FROZEN pre-batching reference update: the serial
 // leaf-to-root walk exactly as it shipped before the batched engine, every
-// node store and fetch going straight to memory. The differential harness
-// and BENCH_integrity compare the batched engine against it bit for bit —
-// do not optimize or otherwise change it.
+// node store and fetch going straight to memory. The differential tests in
+// batch_test.go compare the batched engine against it bit for bit, and
+// BenchmarkTreeBatchSerialRef is the "before" side of the engine's
+// microbenchmarks — do not optimize or otherwise change it.
 //
 // Because it bypasses the node cache by design, it must only run on trees
 // with no cache attached (a cached tree would go stale underneath it).

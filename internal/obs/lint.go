@@ -118,8 +118,8 @@ func familyOf(series string) string {
 }
 
 // ParseSamples extracts every series and its value from a text
-// exposition; loadgen's -scrape mode diffs two of these maps to embed
-// the per-run metric delta in the bench JSON.
+// exposition, so tests and the fault harness can assert on individual
+// series without a Prometheus client.
 func ParseSamples(text string) map[string]float64 {
 	out := map[string]float64{}
 	for _, line := range strings.Split(text, "\n") {

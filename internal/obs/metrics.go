@@ -62,15 +62,6 @@ type Histogram struct {
 	sum    atomic.Uint64
 }
 
-// NewHistogram builds an unregistered histogram over bounds (ascending
-// inclusive upper edges). Use Registry.Histogram for scrapeable series;
-// this constructor is for embedding distributions elsewhere (loadgen
-// reports per-mix latency histograms in its bench JSON with the same
-// bucket geometry as the daemon's).
-func NewHistogram(bounds []uint64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
 	i := 0
@@ -92,16 +83,6 @@ func (h *Histogram) Count() uint64 {
 
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Buckets returns the bucket bounds and their (non-cumulative) counts,
-// including the trailing +Inf bucket (bound 0 marks it).
-func (h *Histogram) Buckets() ([]uint64, []uint64) {
-	counts := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return h.bounds, counts
-}
 
 // Quantile estimates the q-quantile (0..1) from the bucket counts,
 // attributing each bucket's mass to its upper bound — the same
@@ -126,9 +107,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // LatencyBucketsUS is the repository's shared latency bucket geometry:
-// power-of-two microsecond edges from 1µs to ~4.2s. Daemon histograms and
-// loadgen's bench output use the same edges so distributions stay
-// mechanically comparable.
+// power-of-two microsecond edges from 1µs to ~4.2s. Every daemon latency
+// histogram uses the same edges so distributions stay mechanically
+// comparable.
 func LatencyBucketsUS() []uint64 {
 	b := make([]uint64, 23)
 	for i := range b {

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"aisebmt/internal/core"
@@ -17,6 +18,9 @@ func FuzzWALRecord(f *testing.F) {
 		{Kind: shard.MutWrite, Addr: 4096, Virt: 1 << 40, PID: 7, Data: []byte("hello")},
 		{Kind: shard.MutSwapOut, Addr: 8192, Slot: 3},
 		{Kind: shard.MutSwapIn, Addr: 0, Slot: 1, Data: bytes.Repeat([]byte{0xAB}, 128)},
+		{Kind: shard.MutMove, Addr: 12288, Virt: 16384},
+		{Kind: recKindAux, Data: []byte("tenant journal record")},
+		{Kind: recKindAuxBarrier, Data: binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 9), 4)},
 		{Kind: shard.MutWrite},
 	} {
 		f.Add(encodeRecPayload(nil, r))
@@ -29,7 +33,10 @@ func FuzzWALRecord(f *testing.F) {
 		if err != nil {
 			return // rejected input; the only requirement is no panic
 		}
-		if r.Kind < shard.MutWrite || r.Kind > shard.MutSwapIn {
+		// The decoder's vocabulary: the pool's mutation kinds and the aux
+		// (tenant journal) record and barrier kinds.
+		known := r.Kind >= shard.MutWrite && r.Kind <= shard.MutMove || r.Kind == recKindAux || r.Kind == recKindAuxBarrier
+		if !known {
 			t.Fatalf("decoder accepted unknown kind %d", r.Kind)
 		}
 		if got := encodeRecPayload(nil, r); !bytes.Equal(got, payload) {

@@ -2,8 +2,8 @@
 // length-prefixed binary wire protocol and a TCP server that exposes a
 // shard.Pool's operations (read, write, verify, root, stats, swapout,
 // swapin, hibernate) with per-request timeouts and graceful
-// drain-on-shutdown. cmd/secmemd wraps it as a daemon and cmd/loadgen
-// drives it as a client.
+// drain-on-shutdown. cmd/secmemd wraps it as a daemon; Client is the
+// matching client.
 package server
 
 import (

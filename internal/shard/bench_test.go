@@ -10,35 +10,30 @@ import (
 )
 
 // End-to-end write throughput through the pool — queue, worker drain,
-// coalesce, AISE encrypt, and the Merkle tree pass — with the tree
-// engine as the only variable: the frozen serial reference walk versus
-// the batched, coalescing engine with its write-back node cache.
-// scripts/bench_integrity.sh pairs the two into BENCH_integrity.json.
+// coalesce, AISE encrypt, and the batched, coalescing Merkle tree pass
+// with its write-back node cache. The tree engine's own before/after pair
+// (serial reference walk vs batched engine) is BenchmarkTreeBatchSerialRef
+// vs BenchmarkTreeBatch in internal/integrity.
 
 const benchPoolBytes = 1024 * layout.PageSize // 512 tree leaves per shard
 
-func benchPool(b *testing.B, serialRef bool) *Pool {
+func benchPool(b *testing.B) *Pool {
 	b.Helper()
-	cfg := Config{
+	p, err := New(Config{
 		Shards:     2,
 		QueueDepth: 256,
 		BatchMax:   32,
 		Core: core.Config{
-			DataBytes:  benchPoolBytes,
-			MACBits:    128,
-			Key:        []byte("bench-pool-key16"),
-			Encryption: core.AISE,
-			Integrity:  core.BonsaiMT,
-			SwapSlots:  8,
+			DataBytes:           benchPoolBytes,
+			MACBits:             128,
+			Key:                 []byte("bench-pool-key16"),
+			Encryption:          core.AISE,
+			Integrity:           core.BonsaiMT,
+			SwapSlots:           8,
+			TreeUpdateWorkers:   4,
+			TreeNodeCacheBlocks: 1024,
 		},
-	}
-	if serialRef {
-		cfg.Core.TreeSerialRef = true
-	} else {
-		cfg.Core.TreeUpdateWorkers = 4
-		cfg.Core.TreeNodeCacheBlocks = 1024
-	}
-	p, err := New(cfg)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,12 +65,7 @@ func benchPoolWrites(b *testing.B, p *Pool, dataBytes uint64) {
 	})
 }
 
-func BenchmarkPoolWriteSerialTree(b *testing.B) {
-	p := benchPool(b, true)
-	benchPoolWrites(b, p, benchPoolBytes)
-}
-
 func BenchmarkPoolWriteBatchedTree(b *testing.B) {
-	p := benchPool(b, false)
+	p := benchPool(b)
 	benchPoolWrites(b, p, benchPoolBytes)
 }

@@ -124,10 +124,6 @@ type Config struct {
 	// state is lost, under "batch" and "off" it survives a process crash
 	// and a power cut rolls it back to a consistent prefix.
 	Journal journal.Store
-	// Serialize forces every operation through one global mutex — the
-	// pre-PR-10 concurrency model, kept as an A/B baseline for the churn
-	// benchmark.
-	Serialize bool
 	// Obs, when non-nil, registers the secmemd_tenant_* instrument family.
 	Obs *obs.Service
 }
@@ -155,8 +151,6 @@ type Service struct {
 	// shared for its full duration; FreezeOps takes it exclusively so a
 	// checkpoint serializes against all in-flight operations.
 	opMu sync.RWMutex
-	// serial, when non-nil, is the Serialize-mode global lock.
-	serial *sync.Mutex
 
 	// regMu guards the tenant table only; it is never held across pool
 	// I/O and never acquired while holding a tenant lock.
@@ -230,9 +224,6 @@ func newService(cfg Config, mgr *vm.Manager) *Service {
 		s.log = journal.NewLog(cfg.Journal)
 		mgr.SetSink(s.log)
 	}
-	if cfg.Serialize {
-		s.serial = &sync.Mutex{}
-	}
 	if cfg.Obs != nil {
 		s.register(cfg.Obs, cfg.Pool)
 	}
@@ -247,14 +238,7 @@ var ErrUnknownTenant = errors.New("tenant: unknown tenant")
 // leaves it. Must bracket every public operation.
 func (s *Service) beginOp() func() {
 	s.opMu.RLock()
-	if s.serial == nil {
-		return s.opMu.RUnlock
-	}
-	s.serial.Lock()
-	return func() {
-		s.serial.Unlock()
-		s.opMu.RUnlock()
-	}
+	return s.opMu.RUnlock
 }
 
 // Journaled reports whether tenant address spaces are journaled. The

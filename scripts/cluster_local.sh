@@ -4,8 +4,12 @@
 # everything down (members exit through their drain-and-verify path).
 #
 #   make cluster
-#   # smart clients:  loadgen -cluster "$MEMBERS" ...
-#   # dumb clients:   loadgen -addr 127.0.0.1:7400 ...   (via the router)
+#   # membership:     go run ./cmd/secmemrouter -admin view -target 127.0.0.1:7401
+#   # smart clients:  cluster.NewSmartClient over the member list below
+#   # dumb clients:   any server.Client on 127.0.0.1:7400 (via the router)
+#
+# cmd/secmemd/smoke_test.go (make smoke) drives the same topology from Go:
+# traffic, metrics lint, failover, join and leave.
 set -eu
 
 cd "$(dirname "$0")/.."
