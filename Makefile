@@ -14,9 +14,10 @@
 #                        untrusted bytes (wire, WAL record, sealed anchor,
 #                        counter block, tenant journal restore), the
 #                        controller's byte-granular span path, the
-#                        untrusted-memory model against its map oracle and
+#                        untrusted-memory model against its map oracle,
 #                        the controller's AES/HMAC engines against the
-#                        from-scratch ciphers; CI runs this after check
+#                        from-scratch ciphers and the tree's sweep walk
+#                        against the full walk; CI runs this after check
 #   make bench           the service benchmark (go run ./bench): the real
 #                        secmemd under the four BENCHMARK.json workloads,
 #                        end-to-end metrics per workload; exits non-zero
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run=none -fuzz=FuzzAgainstStdlib -fuzztime=5s ./internal/crypto/sha1/
 	$(GO) test -run=none -fuzz=FuzzEngineMatchesScratch -fuzztime=5s ./internal/encrypt/
 	$(GO) test -run=none -fuzz=FuzzEngineMatchesScratch -fuzztime=5s ./internal/integrity/
+	$(GO) test -run=none -fuzz=FuzzVerifySweep -fuzztime=5s ./internal/integrity/
 	$(GO) test -run=none -fuzz=FuzzDecodeEncode -fuzztime=5s ./internal/counter/
 	$(GO) test -run=none -fuzz=FuzzWriteRead -fuzztime=5s ./internal/core/
 	$(GO) test -run=none -fuzz=FuzzRestore -fuzztime=5s ./internal/tenant/journal/

@@ -410,6 +410,7 @@ func newController(cfg Config) (*SecureMemory, error) {
 		if cfg.TreeNodeCacheBlocks > 0 {
 			s.tree.EnableNodeCache(cfg.TreeNodeCacheBlocks)
 		}
+		s.mcache.nodeWalk = make([]layout.Addr, 0, s.tree.Levels()+1)
 	}
 	if cfg.SwapSlots > 0 {
 		s.rootDir, err = integrity.NewPageRootDirectory(s.mem, s.dirRegion.Base, cfg.MACBits, cfg.SwapSlots)

@@ -6,9 +6,12 @@ import "aisebmt/internal/layout"
 // paper assumes: a small counter cache (§4.2 keeps hot counter blocks
 // next to the pipeline) and a cache of Bonsai/Merkle tree nodes (the
 // optimization that lets a verification walk stop early). The functional
-// controller always performs the full fetch and walk — this model only
-// answers "would that metadata have been resident?" so a live daemon can
-// report counter-cache and tree-node hit rates per shard.
+// controller fetches and walks to the root on every request; only a
+// VerifyAll sweep stops its walks early, at the first node block the sweep
+// itself already verified (integrity.Tree.BeginSweep), and nothing trusted
+// carries over from one request to the next. This model answers "would
+// that metadata have been resident?" for the full walk, so a live daemon
+// can report counter-cache and tree-node hit rates per shard.
 //
 // Both caches are direct-mapped over fixed arrays: touching one is two
 // array accesses and never allocates, preserving the hot path's
@@ -24,7 +27,7 @@ type metaCache struct {
 	node [nodeCacheLines]layout.Addr
 
 	// nodeWalk is scratch for replaying a verification's node walk
-	// without allocating (sized to any realistic tree depth).
+	// without allocating, sized to the tree's depth when it is built.
 	nodeWalk []layout.Addr
 }
 
@@ -67,9 +70,6 @@ func (s *SecureMemory) touchNode(a layout.Addr) {
 func (s *SecureMemory) touchTreeWalk(a layout.Addr) {
 	if s.tree == nil {
 		return
-	}
-	if s.mcache.nodeWalk == nil {
-		s.mcache.nodeWalk = make([]layout.Addr, 0, s.tree.Levels()+1)
 	}
 	walk, ok := s.tree.AppendNodeAddrs(s.mcache.nodeWalk[:0], a)
 	s.mcache.nodeWalk = walk[:0]

@@ -133,9 +133,22 @@ func (s *SecureMemory) WriteBlock(a layout.Addr, plain *mem.Block, meta Meta) er
 // VerifyAll sweeps the entire data region through the verification path,
 // returning the first integrity violation found (or nil). It models a
 // background scrubber and is the library's recovery-time audit: every
-// page's counter block is walked to the root and every data MAC recomputed,
-// but nothing is decrypted.
+// page's counter block is authenticated against the root and every data
+// MAC recomputed, but nothing is decrypted.
+//
+// The pages go in address order inside one tree sweep: pending updates are
+// committed first, and each walk then stops at the first node storage
+// block an earlier walk of the sweep authenticated. Every interior node is
+// MAC'd at most once per call, a tamper is blamed exactly as a walk to the
+// root would blame it, and nothing verified outlives the call.
 func (s *SecureMemory) VerifyAll() error {
+	if s.tree != nil {
+		if err := s.treeBarrier(); err != nil {
+			return err
+		}
+		s.tree.BeginSweep()
+		defer s.tree.EndSweep()
+	}
 	for page := layout.Addr(0); page < layout.Addr(s.cfg.DataBytes); page += layout.PageSize {
 		if err := s.readSpan(page, layout.PageSize, nil, Meta{}); err != nil {
 			return err

@@ -308,10 +308,28 @@ func TestSpanTamperMatrix(t *testing.T) {
 	}
 }
 
+// sweepNodeBlocks counts the distinct node storage blocks on the tree walks
+// of every page's counter block: the interior MACs one VerifyAll computes,
+// because each walk stops at the first block the sweep already verified.
+func sweepNodeBlocks(t testing.TB, s *SecureMemory) uint64 {
+	t.Helper()
+	seen := make(map[layout.Addr]bool)
+	for page := layout.Addr(0); page < layout.Addr(s.cfg.DataBytes); page += layout.PageSize {
+		walk, err := s.tree.NodeAddrs(s.split.BlockAddr(page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range walk {
+			seen[a] = true
+		}
+	}
+	return uint64(len(seen))
+}
+
 // TestSpanWorkCounts pins what the counters mean now that a span walks the
-// tree once: VerifyAll on a written page recomputes every data MAC, walks
-// the counter block to the root once and decrypts nothing, and the
-// counter-cache model still sees one access per block.
+// tree once: VerifyAll on a written page recomputes every data MAC, MACs
+// each counter block and each node block on their walks once, and decrypts
+// nothing, and the counter-cache model still sees one access per block.
 func TestSpanWorkCounts(t *testing.T) {
 	s, err := New(Config{DataBytes: 4 * layout.PageSize, MACBits: 128, Key: testKey, Encryption: AISE, Integrity: BonsaiMT})
 	if err != nil {
@@ -343,9 +361,9 @@ func TestSpanWorkCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Three vacant pages: a tree walk each. The written page: a walk plus
-	// one data MAC per block.
-	if want := 4*walk + layout.BlocksPerPage; d.MACOps != want || d.TreeVerifies != 4 || d.PadGens != 0 {
+	// Four counter-block MACs, one MAC per node block on their walks, and
+	// one data MAC per block of the written page: 4+1+64 = 69.
+	if want := 4 + sweepNodeBlocks(t, s) + layout.BlocksPerPage; d.MACOps != want || d.TreeVerifies != 4 || d.PadGens != 0 {
 		t.Errorf("VerifyAll: %d MACs (want %d), %d tree walks (want 4), %d pads (want 0)", d.MACOps, want, d.TreeVerifies, d.PadGens)
 	}
 	if want := uint64(4 * layout.BlocksPerPage); d.BlockReads != want || d.CtrCacheHits+d.CtrCacheMisses != want {
@@ -369,5 +387,38 @@ func TestSpanWorkCounts(t *testing.T) {
 	// A whole-block write reads nothing back: 64 data MACs, one tree update.
 	if want := walk + layout.BlocksPerPage; d.MACOps != want || d.TreeVerifies != 0 || d.TreeUpdates != 1 {
 		t.Errorf("4KiB Write: %d MACs (want %d), %d tree verifies (want 0), %d tree updates (want 1)", d.MACOps, want, d.TreeVerifies, d.TreeUpdates)
+	}
+}
+
+// TestVerifyAllSweepWork holds VerifyAll on one daemon shard (4MiB of
+// AISE+BMT with the default swap slots and node cache) to one MAC per
+// counter block and per node block of the sweep, plus the data MACs of
+// written pages.
+func TestVerifyAllSweepWork(t *testing.T) {
+	s, err := New(Config{DataBytes: 4 << 20, MACBits: 128, Key: testKey, Encryption: AISE, Integrity: BonsaiMT, SwapSlots: 64, TreeNodeCacheBlocks: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := s.cfg.DataBytes / layout.PageSize
+	sweep := func() uint64 {
+		before := s.Stats().MACOps
+		if err := s.VerifyAll(); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats().MACOps - before
+	}
+	nodes := sweepNodeBlocks(t, s)
+	if got, want := sweep(), pages+nodes; got != want || got > 1400 {
+		t.Errorf("empty shard: VerifyAll computed %d MACs, want %d (and at most 1,400)", got, want)
+	}
+	page := make([]byte, layout.PageSize)
+	for a := layout.Addr(0); a < layout.Addr(s.cfg.DataBytes); a += layout.PageSize {
+		page[0] = byte(a >> 12)
+		if err := s.Write(a, page, Meta{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := sweep(), pages*(1+layout.BlocksPerPage)+nodes; got != want || got > 67000 {
+		t.Errorf("full shard: VerifyAll computed %d MACs, want %d (and at most 67,000)", got, want)
 	}
 }

@@ -111,6 +111,7 @@ func (t *Tree) UpdateBatch(addrs []layout.Addr, workers int) error {
 		}
 		u.sort.refs = append(u.sort.refs, leafRef{idx: idx, addr: a.BlockAddr()})
 	}
+	t.clearMemo()
 	sort.Sort(&u.sort)
 	refs := u.sort.refs
 	w := 1

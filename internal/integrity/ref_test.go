@@ -48,3 +48,37 @@ func (t *Tree) refNodeMACInto(a layout.Addr, dst []byte) {
 	t.mac.sizedInto(dst, blk[:], t.g.MACBits)
 	t.MACOps++
 }
+
+// verifyContentRef is the FROZEN pre-memo verification walk, the oracle the
+// fetch-once walk is held to: the leaf check reads the stored level-0 slot,
+// then every level MACs its storage block (one fetch) and compares the
+// result with the parent's stored slot (a second fetch), all the way to the
+// root. Both fetches go through the node cache, as they always did.
+func (t *Tree) verifyContentRef(a layout.Addr, blk *mem.Block) error {
+	idx, err := t.verifiableLeaf(a)
+	if err != nil {
+		return err
+	}
+	computed := make([]byte, t.g.MACBytes)
+	stored := make([]byte, t.g.MACBytes)
+	t.contentMACInto(blk, computed)
+	t.macAtInto(t.levels[0], idx, stored)
+	if !macEqual(computed, stored) {
+		node, _ := t.TreeGeometry.slotBlock(t.levels[0], idx)
+		return &Error{Addr: a, Level: 0, Node: node}
+	}
+	for li := 0; li < len(t.levels); li++ {
+		blockAddr, parentIdx := t.TreeGeometry.slotBlock(t.levels[li], idx)
+		t.storageMACInto(blockAddr, computed)
+		parent := t.root
+		if li < len(t.levels)-1 {
+			parent = stored
+			t.macAtInto(t.levels[li+1], parentIdx, parent)
+		}
+		if !macEqual(computed, parent) {
+			return &Error{Addr: a, Level: li + 1, Node: blockAddr}
+		}
+		idx = parentIdx
+	}
+	return nil
+}

@@ -63,8 +63,15 @@ type Tree struct {
 	// concurrent use (one controller pipeline), so plain fields suffice;
 	// UpdateBatch's internal hash fan-out is the only concurrency and it
 	// never touches these fields (or t.mac) from more than one goroutine.
-	nodeScratch   [32]byte // recomputed node MAC (≤256 bits)
-	storedScratch [32]byte // stored node MAC read back from memory
+	nodeScratch [32]byte // recomputed node MAC (≤256 bits)
+
+	// memo holds, per level, the node storage block the last walk fetched
+	// (the walk's on-chip copy) and whether it is authenticated up to the
+	// root. Entries become authenticated only inside a sweep (BeginSweep to
+	// EndSweep), and every mutator clears them, so a walk can stop at a
+	// memoized block only while nothing has changed since it was verified.
+	memo     []verifiedNode
+	sweeping bool
 
 	// cache, when non-nil, is the on-chip write-back cache of node storage
 	// blocks: slot reads/writes and interior re-hashes hit it instead of
@@ -107,7 +114,39 @@ func NewTree(m *mem.Memory, key []byte, macBits int, regions []mem.Region, stora
 		return nil, err
 	}
 	t := &Tree{TreeGeometry: tg, m: m, mac: newMACEngine(key), key: append([]byte(nil), key...)}
+	t.memo = make([]verifiedNode, len(tg.levels))
 	return t, nil
+}
+
+// verifiedNode is one level's entry in the walk memo.
+type verifiedNode struct {
+	addr     layout.Addr
+	verified bool
+	blk      mem.Block
+}
+
+// BeginSweep opens a verification sweep: until EndSweep, a walk that
+// reaches a node block an earlier walk of the sweep authenticated compares
+// against that copy and stops instead of re-walking to the root. A sweep
+// only pays off when its walks go in leaf order, and it must not span
+// anything that writes node storage behind the tree's back (an attacker's
+// tamper between two walks would go unseen until the sweep ends). The
+// tree's own mutators clear the memo, so interleaved updates stay correct.
+func (t *Tree) BeginSweep() {
+	t.clearMemo()
+	t.sweeping = true
+}
+
+// EndSweep closes the sweep and forgets everything it verified.
+func (t *Tree) EndSweep() {
+	t.sweeping = false
+	t.clearMemo()
+}
+
+func (t *Tree) clearMemo() {
+	for i := range t.memo {
+		t.memo[i].verified = false
+	}
 }
 
 // macAtInto reads the stored MAC at a level slot into dst (len MACBytes),
@@ -181,6 +220,12 @@ func (t *Tree) storageMACInto(a layout.Addr, dst []byte) {
 	t.contentMACInto(&blk, dst)
 }
 
+// slotIn returns the level slot idx inside its storage block's content.
+func (t *Tree) slotIn(blk *mem.Block, idx uint64) []byte {
+	off := idx * uint64(t.g.MACBytes) % layout.BlockSize
+	return blk[off : off+uint64(t.g.MACBytes)]
+}
+
 // nodeMAC computes the content MAC of one 64-byte block, allocating the
 // result. Cold paths (Build, LeafMAC) use it; the per-access walks use
 // nodeMACInto with per-tree scratch.
@@ -194,6 +239,7 @@ func (t *Tree) nodeMAC(a layout.Addr) []byte {
 // the root on chip. It models the trusted boot-time construction the attack
 // model assumes (§3).
 func (t *Tree) Build() {
+	t.clearMemo()
 	if t.cache != nil {
 		t.cache.reset() // construction writes go straight to memory
 	}
@@ -228,6 +274,7 @@ func (t *Tree) Restore(root []byte) error {
 	}
 	t.root = append([]byte(nil), root...)
 	t.built = true
+	t.clearMemo()
 	if t.cache != nil {
 		t.cache.reset() // resuming from an image: nothing is resident yet
 	}
@@ -282,17 +329,63 @@ func (t *Tree) verifiableLeaf(a layout.Addr) (uint64, error) {
 
 // verifyLeaf recomputes the MAC of leaf idx's content and walks its chain.
 func (t *Tree) verifyLeaf(a layout.Addr, idx uint64, blk *mem.Block) error {
-	computed := t.nodeScratch[:t.g.MACBytes]
-	stored := t.storedScratch[:t.g.MACBytes]
-	// Leaf: recompute the block's MAC and compare to the stored level-0 MAC.
-	t.contentMACInto(blk, computed)
-	t.macAtInto(t.levels[0], idx, stored)
-	if !macEqual(computed, stored) {
-		node, _ := t.TreeGeometry.slotBlock(t.levels[0], idx)
-		return &Error{Addr: a, Level: 0, Node: node}
+	leaf := t.nodeScratch[:t.g.MACBytes]
+	t.contentMACInto(blk, leaf)
+	return t.walk(a, idx, leaf)
+}
+
+// walk authenticates leaf idx's chain, blaming a on failure. want is the
+// MAC the leaf's stored level-0 slot must hold; nil trusts that slot and
+// starts by checking its storage block one level up.
+//
+// The walk fetches each node storage block once, through the node cache,
+// into its level's memo entry. That on-chip copy serves both checks the
+// level takes part in: the child's slot is compared from it, and the same
+// copy is MAC'd for the comparison one level up, ending at the root. In a
+// sweep, a block the memo already holds as verified is compared against
+// and the walk stops there. Blocks become verified only when the whole
+// walk succeeds, so a tampered block is never memoized and a failing walk
+// blames exactly what the full walk would.
+func (t *Tree) walk(a layout.Addr, idx uint64, want []byte) error {
+	mac := t.nodeScratch[:t.g.MACBytes]
+	var child layout.Addr
+	for li := range t.levels {
+		blockAddr, parentIdx := t.TreeGeometry.slotBlock(t.levels[li], idx)
+		e := &t.memo[li]
+		hit := e.verified && e.addr == blockAddr
+		if !hit {
+			e.addr, e.verified = blockAddr, false
+			t.readNodeBlockInto(blockAddr, &e.blk)
+		}
+		if want != nil && !macEqual(want, t.slotIn(&e.blk, idx)) {
+			if li == 0 {
+				child = blockAddr
+			}
+			return &Error{Addr: a, Level: li, Node: child}
+		}
+		if hit {
+			t.markVerified(li)
+			return nil
+		}
+		t.contentMACInto(&e.blk, mac)
+		want, child, idx = mac, blockAddr, parentIdx
 	}
-	// Interior: each storage block must match its parent's stored MAC.
-	return t.verifyChainFrom(0, idx, a)
+	if !macEqual(mac, t.root) {
+		return &Error{Addr: a, Level: len(t.levels), Node: child}
+	}
+	t.markVerified(len(t.levels))
+	return nil
+}
+
+// markVerified records, inside a sweep, that the blocks a successful walk
+// fetched below level upto are authenticated.
+func (t *Tree) markVerified(upto int) {
+	if !t.sweeping {
+		return
+	}
+	for li := 0; li < upto; li++ {
+		t.memo[li].verified = true
+	}
 }
 
 // UpdateBlock recomputes the MAC chain for the protected block at a after
@@ -305,6 +398,7 @@ func (t *Tree) UpdateBlock(a layout.Addr) error {
 	if !ok {
 		return fmt.Errorf("integrity: %#x is not covered by this tree", a)
 	}
+	t.clearMemo()
 	mac := t.nodeScratch[:t.g.MACBytes]
 	t.nodeMACInto(a.BlockAddr(), mac)
 	t.setMACAt(t.levels[0], idx, mac)
@@ -355,6 +449,7 @@ func (t *Tree) InstallLeafMAC(a layout.Addr, mac []byte) error {
 	if len(mac) != t.g.MACBytes {
 		return fmt.Errorf("integrity: MAC is %d bytes, want %d", len(mac), t.g.MACBytes)
 	}
+	t.clearMemo()
 	t.setMACAt(t.levels[0], idx, mac)
 	m := t.nodeScratch[:t.g.MACBytes]
 	for li := 0; li < len(t.levels); li++ {
@@ -407,29 +502,6 @@ func (t *Tree) AppendNodeAddrs(dst []layout.Addr, a layout.Addr) ([]layout.Addr,
 // Levels returns the number of node levels in the tree.
 func (t *Tree) Levels() int { return len(t.levels) }
 
-// verifyChainFrom checks the interior chain starting at the given level
-// for a slot index (used after leaf-level checks by callers that already
-// validated leaf content another way).
-func (t *Tree) verifyChainFrom(li int, idx uint64, blames layout.Addr) error {
-	computed := t.nodeScratch[:t.g.MACBytes]
-	for ; li < len(t.levels); li++ {
-		blockAddr, parentIdx := t.TreeGeometry.slotBlock(t.levels[li], idx)
-		t.storageMACInto(blockAddr, computed)
-		var stored []byte
-		if li == len(t.levels)-1 {
-			stored = t.root
-		} else {
-			stored = t.storedScratch[:t.g.MACBytes]
-			t.macAtInto(t.levels[li+1], parentIdx, stored)
-		}
-		if !macEqual(computed, stored) {
-			return &Error{Addr: blames, Level: li + 1, Node: blockAddr}
-		}
-		idx = parentIdx
-	}
-	return nil
-}
-
 // VerifyStoredLeaf checks that the stored level-0 MAC for a (without
 // recomputing it from leaf content) is authentic under the chain to the
 // root. Swap-out uses this to authenticate the page root it is about to
@@ -439,5 +511,5 @@ func (t *Tree) VerifyStoredLeaf(a layout.Addr) error {
 	if !ok {
 		return fmt.Errorf("integrity: %#x is not covered by this tree", a)
 	}
-	return t.verifyChainFrom(0, idx, a)
+	return t.walk(a, idx, nil)
 }

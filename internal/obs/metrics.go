@@ -84,28 +84,6 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
-// Quantile estimates the q-quantile (0..1) from the bucket counts,
-// attributing each bucket's mass to its upper bound — the same
-// within-one-bucket resolution Prometheus itself offers.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum > rank {
-			if i < len(h.bounds) {
-				return float64(h.bounds[i])
-			}
-			return float64(h.bounds[len(h.bounds)-1]) // +Inf bucket: clamp
-		}
-	}
-	return float64(h.bounds[len(h.bounds)-1])
-}
-
 // LatencyBucketsUS is the repository's shared latency bucket geometry:
 // power-of-two microsecond edges from 1µs to ~4.2s. Every daemon latency
 // histogram uses the same edges so distributions stay mechanically

@@ -72,23 +72,6 @@ func TestHistogramExposition(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	hh := r.Histogram("secmemd_test_q_us", "Q.", LatencyBucketsUS())
-	for i := 0; i < 90; i++ {
-		hh.Observe(100) // → bucket le=128
-	}
-	for i := 0; i < 10; i++ {
-		hh.Observe(5000) // → bucket le=8192
-	}
-	if got := hh.Quantile(0.5); got != 128 {
-		t.Errorf("p50 = %g, want 128", got)
-	}
-	if got := hh.Quantile(0.99); got != 8192 {
-		t.Errorf("p99 = %g, want 8192", got)
-	}
-}
-
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("secmemd_dup_total", "D.", "a", "1")

@@ -234,13 +234,6 @@ func newService(cfg Config, mgr *vm.Manager) *Service {
 // exist (never created, or already destroyed).
 var ErrUnknownTenant = errors.New("tenant: unknown tenant")
 
-// beginOp enters the service-wide operation section; the returned func
-// leaves it. Must bracket every public operation.
-func (s *Service) beginOp() func() {
-	s.opMu.RLock()
-	return s.opMu.RUnlock
-}
-
 // Journaled reports whether tenant address spaces are journaled. The
 // server then refuses the raw page-level swap ops: they move pages behind
 // the journal's back, and recovery could not reconcile them.
@@ -344,7 +337,8 @@ func (s *Service) Create(ctx context.Context, npages int, trace uint64) (uint32,
 		return 0, fmt.Errorf("tenant: npages must be in [1, %d], got %d", MaxPages, npages)
 	}
 	ctx = withTrace(ctx, trace)
-	defer s.beginOp()()
+	s.opMu.RLock()
+	defer s.opMu.RUnlock()
 	p := s.mgr.NewProcess()
 	if err := s.mgr.MapCtx(ctx, p, 0, npages); err != nil {
 		s.mgr.Exit(p) // release whatever was mapped before the failure
@@ -371,7 +365,8 @@ func (s *Service) Create(ctx context.Context, npages int, trace uint64) (uint32,
 // Destroy tears a tenant down, releasing its frames and swap slots.
 func (s *Service) Destroy(ctx context.Context, id uint32, trace uint64) error {
 	ctx = withTrace(ctx, trace)
-	defer s.beginOp()()
+	s.opMu.RLock()
+	defer s.opMu.RUnlock()
 	t, err := s.lookup(id)
 	if err != nil {
 		return err
@@ -403,7 +398,8 @@ func (s *Service) Destroy(ctx context.Context, id uint32, trace uint64) error {
 // half-way through the table copy.
 func (s *Service) Fork(ctx context.Context, id uint32, trace uint64) (uint32, error) {
 	ctx = withTrace(ctx, trace)
-	defer s.beginOp()()
+	s.opMu.RLock()
+	defer s.opMu.RUnlock()
 	t, err := s.lookup(id)
 	if err != nil {
 		return 0, err
@@ -448,7 +444,8 @@ func (t *tenantState) checkRange(vaddr uint64, n int) error {
 // same tenant run concurrently (the vm layer orders overlapping access).
 func (s *Service) Read(ctx context.Context, id uint32, vaddr uint64, n int, trace uint64) ([]byte, error) {
 	ctx = withTrace(ctx, trace)
-	defer s.beginOp()()
+	s.opMu.RLock()
+	defer s.opMu.RUnlock()
 	t, err := s.lookup(id)
 	if err != nil {
 		return nil, err
@@ -476,7 +473,8 @@ func (s *Service) Read(ctx context.Context, id uint32, vaddr uint64, n int, trac
 // breaking copy-on-write sharing as needed.
 func (s *Service) Write(ctx context.Context, id uint32, vaddr uint64, data []byte, trace uint64) error {
 	ctx = withTrace(ctx, trace)
-	defer s.beginOp()()
+	s.opMu.RLock()
+	defer s.opMu.RUnlock()
 	t, err := s.lookup(id)
 	if err != nil {
 		return err
@@ -504,7 +502,8 @@ func (s *Service) Write(ctx context.Context, id uint32, vaddr uint64, data []byt
 // structural operations.
 func (s *Service) Map(ctx context.Context, srcID uint32, srcVaddr uint64, dstID uint32, dstVaddr uint64, trace uint64) error {
 	ctx = withTrace(ctx, trace)
-	defer s.beginOp()()
+	s.opMu.RLock()
+	defer s.opMu.RUnlock()
 	src, err := s.lookup(srcID)
 	if err != nil {
 		return err
@@ -563,7 +562,8 @@ func (s *Service) Map(ctx context.Context, srcID uint32, srcVaddr uint64, dstID 
 // service operation.
 func (s *Service) Migrate(ctx context.Context, id uint32, vaddr uint64, trace uint64) error {
 	ctx = withTrace(ctx, trace)
-	defer s.beginOp()()
+	s.opMu.RLock()
+	defer s.opMu.RUnlock()
 	t, err := s.lookup(id)
 	if err != nil {
 		return err
@@ -583,7 +583,8 @@ func (s *Service) Migrate(ctx context.Context, id uint32, vaddr uint64, trace ui
 // ForceSwapOut evicts one tenant page to the swap device, regardless of
 // pressure — deterministic setup for tests and chaos scenarios.
 func (s *Service) ForceSwapOut(ctx context.Context, id uint32, vaddr uint64) error {
-	defer s.beginOp()()
+	s.opMu.RLock()
+	defer s.opMu.RUnlock()
 	t, err := s.lookup(id)
 	if err != nil {
 		return err
