@@ -29,19 +29,22 @@ func benchSM(b *testing.B) *SecureMemory {
 	return s
 }
 
+// benchConfig is the daemon's per-shard configuration.
+var benchConfig = Config{
+	DataBytes:           benchDataBytes,
+	MACBits:             128,
+	Key:                 testKey,
+	Encryption:          AISE,
+	Integrity:           BonsaiMT,
+	SwapSlots:           64,
+	TreeUpdateWorkers:   4,
+	TreeNodeCacheBlocks: 1024,
+}
+
 // benchEmptySM returns a controller no page of which was ever written.
 func benchEmptySM(b *testing.B) *SecureMemory {
 	b.Helper()
-	s, err := New(Config{
-		DataBytes:           benchDataBytes,
-		MACBits:             128,
-		Key:                 testKey,
-		Encryption:          AISE,
-		Integrity:           BonsaiMT,
-		SwapSlots:           64,
-		TreeUpdateWorkers:   4,
-		TreeNodeCacheBlocks: 1024,
-	})
+	s, err := New(benchConfig)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,6 +86,17 @@ func BenchmarkWrite4K(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := s.EndTreeBatch(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNew boots one shard: lay out its memory and build the tree over
+// its never-written counter blocks, what a daemon pays per shard at start.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(benchConfig); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -134,13 +134,15 @@ func (s *SecureMemory) WriteBlock(a layout.Addr, plain *mem.Block, meta Meta) er
 // returning the first integrity violation found (or nil). It models a
 // background scrubber and is the library's recovery-time audit: every
 // page's counter block is authenticated against the root and every data
-// MAC recomputed, but nothing is decrypted.
+// MAC of a written page recomputed, but nothing is decrypted.
 //
 // The pages go in address order inside one tree sweep: pending updates are
 // committed first, and each walk then stops at the first node storage
 // block an earlier walk of the sweep authenticated. Every interior node is
 // MAC'd at most once per call, a tamper is blamed exactly as a walk to the
-// root would blame it, and nothing verified outlives the call.
+// root would blame it, and nothing verified outlives the call. Identical
+// blocks at a tree level share one tag, so the vacant pages of a sweep cost
+// one counter-block MAC, not one each.
 func (s *SecureMemory) VerifyAll() error {
 	if s.tree != nil {
 		if err := s.treeBarrier(); err != nil {
@@ -150,40 +152,70 @@ func (s *SecureMemory) VerifyAll() error {
 		defer s.tree.EndSweep()
 	}
 	for page := layout.Addr(0); page < layout.Addr(s.cfg.DataBytes); page += layout.PageSize {
-		if err := s.readSpan(page, layout.PageSize, nil, Meta{}); err != nil {
+		if err := s.verifyPage(page); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// verifyPage is VerifyAll's span: one whole page through the fetch
+// pipeline, verified and not decrypted. A vacant AISE page (LPID 0) ends
+// with its counter block's walk: nothing is sealed under LPID 0, so there
+// is no data or data MAC to transfer and no minor counter to decode. A Read
+// of the same page still transfers its blocks (openSpan), so what crosses
+// the bus on the request path does not depend on vacancy.
+func (s *SecureMemory) verifyPage(page layout.Addr) error {
+	if s.split == nil {
+		return s.readSpan(page, layout.PageSize, nil, Meta{})
+	}
+	blocks := s.spanBlocks[:layout.BlocksPerPage]
+	raw, err := s.fetchCounterBlock(page, len(blocks), true)
+	if err != nil || counter.Vacant(&raw) {
+		return err
+	}
+	cb := counter.DecodeBlock(raw)
+	return s.openSpan(page, blocks, &cb, false, Meta{})
+}
+
 // fetchCounters brings the counter block of a's page on chip for a span of
-// nblk blocks. With verify set, the fetched bytes are authenticated through
-// the tree (when one covers the counters) before they are decoded, after
-// committing whatever tree updates an open batch window has deferred.
+// nblk blocks (fetchCounterBlock) and decodes it.
 func (s *SecureMemory) fetchCounters(a layout.Addr, nblk int, verify bool) (counter.Block, error) {
+	raw, err := s.fetchCounterBlock(a, nblk, verify)
+	if err != nil || s.split == nil {
+		return counter.Block{}, err
+	}
+	return counter.DecodeBlock(raw), nil
+}
+
+// fetchCounterBlock fetches the encoded counter block of a's page for a
+// span of nblk blocks (a zero block without split counters). With verify
+// set, the fetched bytes are authenticated through the tree (when one
+// covers the counters) before they are returned, after committing whatever
+// tree updates an open batch window has deferred.
+func (s *SecureMemory) fetchCounterBlock(a layout.Addr, nblk int, verify bool) (mem.Block, error) {
+	var raw mem.Block
 	if verify {
 		// Verification reads tree state: commit any updates the open batch
 		// window has deferred (no-op outside a window).
 		if err := s.treeBarrier(); err != nil {
-			return counter.Block{}, err
+			return raw, err
 		}
 	}
 	if s.split == nil {
-		return counter.Block{}, nil
+		return raw, nil
 	}
 	ctrAddr := s.split.BlockAddr(a)
-	var raw mem.Block
 	s.mem.ReadBlock(ctrAddr, &raw)
 	s.touchCtrSpan(ctrAddr, nblk)
 	if verify && s.tree != nil {
 		s.stats.TreeVerifies++
 		s.touchTreeWalk(ctrAddr)
 		if err := s.tree.VerifyContent(ctrAddr, &raw); err != nil {
-			return counter.Block{}, tampered("counter ", err)
+			return raw, tampered("counter ", err)
 		}
 	}
-	return counter.DecodeBlock(raw), nil
+	return raw, nil
 }
 
 // readSpan runs the n bytes at a, all inside one page, through the fetch

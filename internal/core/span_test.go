@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"aisebmt/internal/attack"
 	"aisebmt/internal/integrity"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/mem"
@@ -328,8 +329,10 @@ func sweepNodeBlocks(t testing.TB, s *SecureMemory) uint64 {
 
 // TestSpanWorkCounts pins what the counters mean now that a span walks the
 // tree once: VerifyAll on a written page recomputes every data MAC, MACs
-// each counter block and each node block on their walks once, and decrypts
-// nothing, and the counter-cache model still sees one access per block.
+// each counter block and each node block on their walks at most once, and
+// decrypts nothing; a vacant page costs its counter block's walk and no
+// data transfer; and the counter-cache model still sees one access per
+// block.
 func TestSpanWorkCounts(t *testing.T) {
 	s, err := New(Config{DataBytes: 4 * layout.PageSize, MACBits: 128, Key: testKey, Encryption: AISE, Integrity: BonsaiMT})
 	if err != nil {
@@ -361,13 +364,21 @@ func TestSpanWorkCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Four counter-block MACs, one MAC per node block on their walks, and
-	// one data MAC per block of the written page: 4+1+64 = 69.
-	if want := 4 + sweepNodeBlocks(t, s) + layout.BlocksPerPage; d.MACOps != want || d.TreeVerifies != 4 || d.PadGens != 0 {
+	// The counter blocks go vacant, written, vacant, vacant: a block
+	// byte-identical to the last one MAC'd reuses its tag, so page 3's
+	// costs nothing and the sweep computes three counter-block MACs. Then
+	// one MAC per node block on their walks, and one data MAC per block of
+	// the written page: 3+1+64 = 68.
+	if want := 3 + sweepNodeBlocks(t, s) + layout.BlocksPerPage; d.MACOps != want || d.TreeVerifies != 4 || d.PadGens != 0 {
 		t.Errorf("VerifyAll: %d MACs (want %d), %d tree walks (want 4), %d pads (want 0)", d.MACOps, want, d.TreeVerifies, d.PadGens)
 	}
-	if want := uint64(4 * layout.BlocksPerPage); d.BlockReads != want || d.CtrCacheHits+d.CtrCacheMisses != want {
-		t.Errorf("VerifyAll: %d block reads, %d counter-cache accesses, want %d each", d.BlockReads, d.CtrCacheHits+d.CtrCacheMisses, want)
+	// Only the written page's data crosses the bus; the counter-cache model
+	// still sees every block of every page.
+	if d.BlockReads != layout.BlocksPerPage {
+		t.Errorf("VerifyAll: %d block reads, want %d", d.BlockReads, layout.BlocksPerPage)
+	}
+	if want := uint64(4 * layout.BlocksPerPage); d.CtrCacheHits+d.CtrCacheMisses != want {
+		t.Errorf("VerifyAll: %d counter-cache accesses, want %d", d.CtrCacheHits+d.CtrCacheMisses, want)
 	}
 
 	d = delta(func() {
@@ -375,7 +386,10 @@ func TestSpanWorkCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if want := walk + layout.BlocksPerPage; d.MACOps != want || d.TreeVerifies != 1 || d.PadGens != layout.BlocksPerPage*layout.ChunksPerBlock {
+	// The counter block's MAC and the 64 data MACs. The sweep MAC'd every
+	// node block of the walk last at its level, unchanged since, so the
+	// walk reuses all of their tags.
+	if want := 1 + uint64(layout.BlocksPerPage); d.MACOps != want || d.TreeVerifies != 1 || d.PadGens != layout.BlocksPerPage*layout.ChunksPerBlock {
 		t.Errorf("4KiB Read: %d MACs (want %d), %d tree walks (want 1), %d pads", d.MACOps, want, d.TreeVerifies, d.PadGens)
 	}
 
@@ -392,7 +406,7 @@ func TestSpanWorkCounts(t *testing.T) {
 
 // TestVerifyAllSweepWork holds VerifyAll on one daemon shard (4MiB of
 // AISE+BMT with the default swap slots and node cache) to one MAC per
-// counter block and per node block of the sweep, plus the data MACs of
+// distinct block per tree level of the sweep, plus the data MACs of
 // written pages.
 func TestVerifyAllSweepWork(t *testing.T) {
 	s, err := New(Config{DataBytes: 4 << 20, MACBits: 128, Key: testKey, Encryption: AISE, Integrity: BonsaiMT, SwapSlots: 64, TreeNodeCacheBlocks: 1024})
@@ -407,10 +421,14 @@ func TestVerifyAllSweepWork(t *testing.T) {
 		}
 		return s.Stats().MACOps - before
 	}
-	nodes := sweepNodeBlocks(t, s)
-	if got, want := sweep(), pages+nodes; got != want || got > 1400 {
-		t.Errorf("empty shard: VerifyAll computed %d MACs, want %d (and at most 1,400)", got, want)
+	// Empty: every counter block is the vacant image, so every node block
+	// a walk reaches at a level is byte-identical to the first one there.
+	// The first walk MACs its counter block and one block per level; every
+	// later walk reuses those tags.
+	if got, want := sweep(), uint64(1+s.tree.Levels()); got != want {
+		t.Errorf("empty shard: VerifyAll computed %d MACs, want %d", got, want)
 	}
+	nodes := sweepNodeBlocks(t, s)
 	page := make([]byte, layout.PageSize)
 	for a := layout.Addr(0); a < layout.Addr(s.cfg.DataBytes); a += layout.PageSize {
 		page[0] = byte(a >> 12)
@@ -420,5 +438,46 @@ func TestVerifyAllSweepWork(t *testing.T) {
 	}
 	if got, want := sweep(), pages*(1+layout.BlocksPerPage)+nodes; got != want || got > 67000 {
 		t.Errorf("full shard: VerifyAll computed %d MACs, want %d (and at most 67,000)", got, want)
+	}
+}
+
+// TestVacantPagesOnTheBus watches the bus: a VerifyAll of an empty shard
+// reads each counter block and tree nodes but no data or data-MAC block,
+// while a Read of a vacant page still transfers every data block it
+// covers, so vacancy shows on the bus no more than before.
+func TestVacantPagesOnTheBus(t *testing.T) {
+	s, err := New(Config{DataBytes: 64 * layout.PageSize, MACBits: 128, Key: testKey, Encryption: AISE, Integrity: BonsaiMT, SwapSlots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snoop := attack.NewSnooper(s.Memory())
+	if err := s.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+	if reads := snoop.ReadsIn(s.dataRegion.Base, s.dataRegion.Size); len(reads) != 0 {
+		t.Errorf("VerifyAll of an empty shard read %d data blocks, want 0", len(reads))
+	}
+	if reads := snoop.ReadsIn(s.macRegion.Base, s.macRegion.Size); len(reads) != 0 {
+		t.Errorf("VerifyAll of an empty shard read %d data-MAC blocks, want 0", len(reads))
+	}
+	if reads, want := snoop.ReadsIn(s.ctrRegion.Base, s.ctrRegion.Size), 64; len(reads) != want {
+		t.Errorf("VerifyAll of an empty shard read %d counter blocks, want %d", len(reads), want)
+	}
+
+	snoop.Reset()
+	page := layout.Addr(5 * layout.PageSize)
+	buf := make([]byte, layout.PageSize)
+	if err := s.Read(page, buf, Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[layout.Addr]bool)
+	for _, a := range snoop.ReadsIn(page, layout.PageSize) {
+		seen[a] = true
+	}
+	if len(seen) != layout.BlocksPerPage {
+		t.Errorf("4KiB Read of a vacant page transferred %d distinct data blocks, want %d", len(seen), layout.BlocksPerPage)
+	}
+	if !bytes.Equal(buf, make([]byte, layout.PageSize)) {
+		t.Error("a vacant page did not read as zeros")
 	}
 }

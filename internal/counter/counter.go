@@ -96,6 +96,13 @@ func (cb *Block) Encode() mem.Block {
 	return out
 }
 
+// Vacant reports whether an encoded counter block's LPID is 0, the
+// never-assigned value of a page nothing was ever sealed under, without
+// decoding its minor counters.
+func Vacant(in *mem.Block) bool {
+	return binary.BigEndian.Uint64(in[:8]) == 0
+}
+
 // DecodeBlock unpacks a 64-byte memory block into a counter block.
 func DecodeBlock(in mem.Block) Block {
 	var cb Block

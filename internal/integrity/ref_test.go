@@ -45,15 +45,52 @@ func (t *Tree) UpdateBlockRef(a layout.Addr) error {
 func (t *Tree) refNodeMACInto(a layout.Addr, dst []byte) {
 	var blk mem.Block
 	t.m.ReadBlock(a, &blk)
+	t.refContentMACInto(&blk, dst)
+}
+
+// refContentMACInto is the references' content MAC: one HMAC per call, the
+// tag memo never consulted.
+func (t *Tree) refContentMACInto(blk *mem.Block, dst []byte) {
 	t.mac.sizedInto(dst, blk[:], t.g.MACBits)
 	t.MACOps++
 }
 
+// buildRef is the memo-free reference construction, Build as it was
+// before the tag memo: every leaf and every node storage block MAC'd from
+// memory, one fresh tag each.
+func (t *Tree) buildRef() {
+	t.clearMemo()
+	if t.cache != nil {
+		t.cache.reset()
+	}
+	idx := uint64(0)
+	for _, r := range t.leaves {
+		for a := r.Base; a < r.Base+layout.Addr(r.Size); a += layout.BlockSize {
+			mac := make([]byte, t.g.MACBytes)
+			t.refNodeMACInto(a, mac)
+			t.rawSetMACAt(t.levels[0], idx, mac)
+			idx++
+		}
+	}
+	for li := 0; li < len(t.levels)-1; li++ {
+		lv := t.levels[li]
+		for b := uint64(0); b < storageBlocks(lv.count, t.g.MACBytes); b++ {
+			mac := make([]byte, t.g.MACBytes)
+			t.refNodeMACInto(lv.base+layout.Addr(b*layout.BlockSize), mac)
+			t.rawSetMACAt(t.levels[li+1], b, mac)
+		}
+	}
+	t.root = make([]byte, t.g.MACBytes)
+	t.refNodeMACInto(t.levels[len(t.levels)-1].base, t.root)
+	t.built = true
+}
+
 // verifyContentRef is the FROZEN pre-memo verification walk, the oracle the
-// fetch-once walk is held to: the leaf check reads the stored level-0 slot,
-// then every level MACs its storage block (one fetch) and compares the
-// result with the parent's stored slot (a second fetch), all the way to the
-// root. Both fetches go through the node cache, as they always did.
+// fetch-once walk and the tag memo are held to: the leaf check reads the
+// stored level-0 slot, then every level MACs its storage block (one fetch)
+// and compares the result with the parent's stored slot (a second fetch),
+// all the way to the root. Both fetches go through the node cache, as they
+// always did; every MAC is computed afresh (refContentMACInto).
 func (t *Tree) verifyContentRef(a layout.Addr, blk *mem.Block) error {
 	idx, err := t.verifiableLeaf(a)
 	if err != nil {
@@ -61,7 +98,7 @@ func (t *Tree) verifyContentRef(a layout.Addr, blk *mem.Block) error {
 	}
 	computed := make([]byte, t.g.MACBytes)
 	stored := make([]byte, t.g.MACBytes)
-	t.contentMACInto(blk, computed)
+	t.refContentMACInto(blk, computed)
 	t.macAtInto(t.levels[0], idx, stored)
 	if !macEqual(computed, stored) {
 		node, _ := t.TreeGeometry.slotBlock(t.levels[0], idx)
@@ -69,7 +106,9 @@ func (t *Tree) verifyContentRef(a layout.Addr, blk *mem.Block) error {
 	}
 	for li := 0; li < len(t.levels); li++ {
 		blockAddr, parentIdx := t.TreeGeometry.slotBlock(t.levels[li], idx)
-		t.storageMACInto(blockAddr, computed)
+		var node mem.Block
+		t.readNodeBlockInto(blockAddr, &node)
+		t.refContentMACInto(&node, computed)
 		parent := t.root
 		if li < len(t.levels)-1 {
 			parent = stored

@@ -15,10 +15,12 @@ import (
 // blame must be the same.
 
 // sweepFixture builds a tree of the given MAC width over nLeaves blocks of
-// random data, its node storage at 1MiB. With a node cache it then
+// random data, its node storage at 1MiB; about vacantPct percent of the
+// leaves are left all-zero, as a never-written page's counter block is, so
+// runs of identical blocks exercise the tag memo. With a node cache it then
 // rewrites a handful of leaves through the cache and does not flush, so
 // dirty nodes stay resident and memory holds stale copies of them.
-func sweepFixture(t testing.TB, rng *rand.Rand, macBits, nLeaves, cacheBlocks int) (*mem.Memory, *Tree) {
+func sweepFixture(t testing.TB, rng *rand.Rand, macBits, nLeaves, vacantPct, cacheBlocks int) (*mem.Memory, *Tree) {
 	t.Helper()
 	m := mem.New(2 << 20)
 	data := uint64(nLeaves) * layout.BlockSize
@@ -29,6 +31,9 @@ func sweepFixture(t testing.TB, rng *rand.Rand, macBits, nLeaves, cacheBlocks in
 	var blk mem.Block
 	for a := layout.Addr(0); a < layout.Addr(data); a += layout.BlockSize {
 		rng.Read(blk[:])
+		if vacantPct > 0 && rng.Intn(100) < vacantPct {
+			continue
+		}
 		m.WriteBlock(a, &blk)
 	}
 	tr.EnableNodeCache(cacheBlocks)
@@ -126,7 +131,7 @@ func TestSweepMatchesPlainWalk(t *testing.T) {
 	for _, bits := range storeWidths {
 		for _, cacheBlocks := range []int{0, 4, 64} {
 			rng := rand.New(rand.NewSource(int64(bits*1000 + cacheBlocks)))
-			m, tr := sweepFixture(t, rng, bits, 300, cacheBlocks)
+			m, tr := sweepFixture(t, rng, bits, 300, 0, cacheBlocks)
 			if n := checkSweepMatches(t, rng, m, tr, "clean"); n != 0 {
 				t.Fatalf("%d bits, cache %d: the reference refused %d leaves of a clean tree", bits, cacheBlocks, n)
 			}
@@ -222,17 +227,22 @@ func TestSweepMemoDoesNotOutliveSweep(t *testing.T) {
 	}
 }
 
-// FuzzVerifySweep builds a random tree, tampers one random byte of its
-// node storage or data, and holds every leaf's sweep verdict and blame to
-// the reference walk's.
+// fuzzVacancy is the share of never-written leaves FuzzVerifySweep draws
+// from: most trees it builds are mostly vacant, so walks hit the tag memo.
+var fuzzVacancy = [4]int{0, 50, 90, 100}
+
+// FuzzVerifySweep builds a random, often mostly vacant tree, tampers one
+// random byte of its node storage or data, and holds every leaf's sweep
+// verdict and blame to the reference walk's.
 func FuzzVerifySweep(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(0), uint8(0), uint16(7), byte(0x01))
-	f.Add(int64(2), uint8(0), uint8(1), uint8(3), uint16(999), byte(0x80))
-	f.Add(int64(3), uint8(3), uint8(2), uint8(9), uint16(12345), byte(0xff))
-	f.Fuzz(func(t *testing.T, seed int64, width, cache, target uint8, pos uint16, mask byte) {
+	f.Add(int64(1), uint8(2), uint8(0), uint8(0), uint16(7), byte(0x01), uint8(0))
+	f.Add(int64(2), uint8(0), uint8(1), uint8(3), uint16(999), byte(0x80), uint8(1))
+	f.Add(int64(3), uint8(3), uint8(2), uint8(9), uint16(12345), byte(0xff), uint8(2))
+	f.Add(int64(4), uint8(1), uint8(0), uint8(1), uint16(4242), byte(0x10), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, width, cache, target uint8, pos uint16, mask byte, vacancy uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		nLeaves := 1 + rng.Intn(200)
-		m, tr := sweepFixture(t, rng, storeWidths[width%4], nLeaves, int(cache%3)*8)
+		m, tr := sweepFixture(t, rng, storeWidths[width%4], nLeaves, fuzzVacancy[vacancy%4], int(cache%3)*8)
 		if mask == 0 {
 			mask = 1
 		}

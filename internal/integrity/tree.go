@@ -65,6 +65,13 @@ type Tree struct {
 	// never touches these fields (or t.mac) from more than one goroutine.
 	nodeScratch [32]byte // recomputed node MAC (≤256 bits)
 
+	// tags is the tag memo: per level (leaf content first, then each node
+	// level), the last block contentMACInto MAC'd and its tag. A tag is a
+	// pure function of the block under the tree's fixed key, so a
+	// byte-identical block at the same level reuses it, and no mutator
+	// has to clear it.
+	tags []taggedBlock
+
 	// memo holds, per level, the node storage block the last walk fetched
 	// (the walk's on-chip copy) and whether it is authenticated up to the
 	// root. Entries become authenticated only inside a sweep (BeginSweep to
@@ -115,7 +122,15 @@ func NewTree(m *mem.Memory, key []byte, macBits int, regions []mem.Region, stora
 	}
 	t := &Tree{TreeGeometry: tg, m: m, mac: newMACEngine(key), key: append([]byte(nil), key...)}
 	t.memo = make([]verifiedNode, len(tg.levels))
+	t.tags = make([]taggedBlock, len(tg.levels)+1)
 	return t, nil
+}
+
+// taggedBlock is one level's entry in the tag memo.
+type taggedBlock struct {
+	valid bool
+	blk   mem.Block
+	tag   [32]byte
 }
 
 // verifiedNode is one level's entry in the walk memo.
@@ -132,8 +147,11 @@ type verifiedNode struct {
 // anything that writes node storage behind the tree's back (an attacker's
 // tamper between two walks would go unseen until the sweep ends). The
 // tree's own mutators clear the memo, so interleaved updates stay correct.
+// BeginSweep also forgets the tag memo, so what a sweep MACs depends on
+// the tree it sweeps and not on the walks before it.
 func (t *Tree) BeginSweep() {
 	t.clearMemo()
+	clear(t.tags)
 	t.sweeping = true
 }
 
@@ -196,28 +214,40 @@ func (t *Tree) readNodeBlockInto(a layout.Addr, dst *mem.Block) {
 	t.m.ReadBlock(a, dst)
 }
 
-// contentMACInto computes the content MAC of one 64-byte block into dst
-// (len MACBytes) without allocating.
-func (t *Tree) contentMACInto(blk *mem.Block, dst []byte) {
+// contentMACInto computes the content MAC of one 64-byte block at tag
+// memo level lvl (0 for leaf content, li+1 for node level li) into dst (len
+// MACBytes) without allocating. A block byte-identical to the last one
+// MAC'd at that level gets the stored tag and costs no MAC. The compare
+// exits early, but it only ever sees off-chip metadata an attacker can
+// already read off the bus.
+func (t *Tree) contentMACInto(lvl int, blk *mem.Block, dst []byte) {
+	e := &t.tags[lvl]
+	if e.valid && e.blk == *blk {
+		copy(dst, e.tag[:])
+		return
+	}
 	t.mac.sizedInto(dst, blk[:], t.g.MACBits)
 	t.MACOps++
+	e.valid, e.blk = true, *blk
+	copy(e.tag[:], dst)
 }
 
-// nodeMACInto computes the content MAC of the protected (leaf content)
-// block at a. Node storage blocks go through storageMACInto instead so
+// memMACInto computes the content MAC of the block at a, read straight from
+// memory, at tag memo level lvl: the leaf an update re-hashes, and every
+// block Build hashes. Other node storage reads go through storageMACInto so
 // they see cached contents.
-func (t *Tree) nodeMACInto(a layout.Addr, dst []byte) {
+func (t *Tree) memMACInto(lvl int, a layout.Addr, dst []byte) {
 	var blk mem.Block
 	t.m.ReadBlock(a, &blk)
-	t.contentMACInto(&blk, dst)
+	t.contentMACInto(lvl, &blk, dst)
 }
 
-// storageMACInto computes the content MAC of one node storage block into
-// dst, reading the block through the node cache.
-func (t *Tree) storageMACInto(a layout.Addr, dst []byte) {
+// storageMACInto computes the content MAC of the level li node storage
+// block at a into dst, reading the block through the node cache.
+func (t *Tree) storageMACInto(li int, a layout.Addr, dst []byte) {
 	var blk mem.Block
 	t.readNodeBlockInto(a, &blk)
-	t.contentMACInto(&blk, dst)
+	t.contentMACInto(li+1, &blk, dst)
 }
 
 // slotIn returns the level slot idx inside its storage block's content.
@@ -226,27 +256,21 @@ func (t *Tree) slotIn(blk *mem.Block, idx uint64) []byte {
 	return blk[off : off+uint64(t.g.MACBytes)]
 }
 
-// nodeMAC computes the content MAC of one 64-byte block, allocating the
-// result. Cold paths (Build, LeafMAC) use it; the per-access walks use
-// nodeMACInto with per-tree scratch.
-func (t *Tree) nodeMAC(a layout.Addr) []byte {
-	tag := make([]byte, t.g.MACBytes)
-	t.nodeMACInto(a, tag)
-	return tag
-}
-
 // Build computes every node MAC from current memory contents and captures
 // the root on chip. It models the trusted boot-time construction the attack
-// model assumes (§3).
+// model assumes (§3). Through the tag memo, a run of identical blocks at a
+// level (a never-written region) costs one MAC.
 func (t *Tree) Build() {
 	t.clearMemo()
 	if t.cache != nil {
 		t.cache.reset() // construction writes go straight to memory
 	}
+	mac := t.nodeScratch[:t.g.MACBytes]
 	idx := uint64(0)
 	for _, r := range t.leaves {
 		for a := r.Base; a < r.Base+layout.Addr(r.Size); a += layout.BlockSize {
-			t.rawSetMACAt(t.levels[0], idx, t.nodeMAC(a))
+			t.memMACInto(0, a, mac)
+			t.rawSetMACAt(t.levels[0], idx, mac)
 			idx++
 		}
 	}
@@ -254,12 +278,13 @@ func (t *Tree) Build() {
 		lv := t.levels[li]
 		blocks := storageBlocks(lv.count, t.g.MACBytes)
 		for b := uint64(0); b < blocks; b++ {
-			mac := t.nodeMAC(lv.base + layout.Addr(b*layout.BlockSize))
+			t.memMACInto(li+1, lv.base+layout.Addr(b*layout.BlockSize), mac)
 			t.rawSetMACAt(t.levels[li+1], b, mac)
 		}
 	}
-	top := t.levels[len(t.levels)-1]
-	t.root = t.nodeMAC(top.base)
+	top := len(t.levels) - 1
+	t.memMACInto(top+1, t.levels[top].base, mac)
+	t.setRoot(mac)
 	t.built = true
 }
 
@@ -330,13 +355,12 @@ func (t *Tree) verifiableLeaf(a layout.Addr) (uint64, error) {
 // verifyLeaf recomputes the MAC of leaf idx's content and walks its chain.
 func (t *Tree) verifyLeaf(a layout.Addr, idx uint64, blk *mem.Block) error {
 	leaf := t.nodeScratch[:t.g.MACBytes]
-	t.contentMACInto(blk, leaf)
+	t.contentMACInto(0, blk, leaf)
 	return t.walk(a, idx, leaf)
 }
 
 // walk authenticates leaf idx's chain, blaming a on failure. want is the
-// MAC the leaf's stored level-0 slot must hold; nil trusts that slot and
-// starts by checking its storage block one level up.
+// MAC the leaf's stored level-0 slot must hold.
 //
 // The walk fetches each node storage block once, through the node cache,
 // into its level's memo entry. That on-chip copy serves both checks the
@@ -357,7 +381,7 @@ func (t *Tree) walk(a layout.Addr, idx uint64, want []byte) error {
 			e.addr, e.verified = blockAddr, false
 			t.readNodeBlockInto(blockAddr, &e.blk)
 		}
-		if want != nil && !macEqual(want, t.slotIn(&e.blk, idx)) {
+		if !macEqual(want, t.slotIn(&e.blk, idx)) {
 			if li == 0 {
 				child = blockAddr
 			}
@@ -367,7 +391,7 @@ func (t *Tree) walk(a layout.Addr, idx uint64, want []byte) error {
 			t.markVerified(li)
 			return nil
 		}
-		t.contentMACInto(&e.blk, mac)
+		t.contentMACInto(li+1, &e.blk, mac)
 		want, child, idx = mac, blockAddr, parentIdx
 	}
 	if !macEqual(mac, t.root) {
@@ -400,11 +424,11 @@ func (t *Tree) UpdateBlock(a layout.Addr) error {
 	}
 	t.clearMemo()
 	mac := t.nodeScratch[:t.g.MACBytes]
-	t.nodeMACInto(a.BlockAddr(), mac)
+	t.memMACInto(0, a.BlockAddr(), mac)
 	t.setMACAt(t.levels[0], idx, mac)
 	for li := 0; li < len(t.levels); li++ {
 		blockAddr, parentIdx := t.TreeGeometry.slotBlock(t.levels[li], idx)
-		t.storageMACInto(blockAddr, mac)
+		t.storageMACInto(li, blockAddr, mac)
 		if li == len(t.levels)-1 {
 			t.setRoot(mac)
 		} else {
@@ -454,7 +478,7 @@ func (t *Tree) InstallLeafMAC(a layout.Addr, mac []byte) error {
 	m := t.nodeScratch[:t.g.MACBytes]
 	for li := 0; li < len(t.levels); li++ {
 		blockAddr, parentIdx := t.TreeGeometry.slotBlock(t.levels[li], idx)
-		t.storageMACInto(blockAddr, m)
+		t.storageMACInto(li, blockAddr, m)
 		if li == len(t.levels)-1 {
 			t.setRoot(m)
 		} else {
@@ -501,15 +525,3 @@ func (t *Tree) AppendNodeAddrs(dst []layout.Addr, a layout.Addr) ([]layout.Addr,
 
 // Levels returns the number of node levels in the tree.
 func (t *Tree) Levels() int { return len(t.levels) }
-
-// VerifyStoredLeaf checks that the stored level-0 MAC for a (without
-// recomputing it from leaf content) is authentic under the chain to the
-// root. Swap-out uses this to authenticate the page root it is about to
-// copy into the Page Root Directory.
-func (t *Tree) VerifyStoredLeaf(a layout.Addr) error {
-	idx, ok := t.LeafIndex(a)
-	if !ok {
-		return fmt.Errorf("integrity: %#x is not covered by this tree", a)
-	}
-	return t.walk(a, idx, nil)
-}
