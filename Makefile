@@ -34,7 +34,7 @@
 #                        recovery, cluster failover with zero acked-write
 #                        loss, and the join/failover/fenced-rejoin/leave
 #                        lifecycle; CI runs this after check
-#   make cluster         run a local 3-node cluster + router in the
+#   make cluster         run a local 3-node proxying cluster in the
 #                        foreground (the README quickstart); Ctrl-C stops it
 #   make chaos           deterministic fault-injection matrix (cmd/chaos):
 #                        bit-flips, rollback, WAL faults, torn writes, slow

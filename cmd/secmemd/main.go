@@ -70,17 +70,12 @@ func main() {
 	residentPages := flag.Int("resident-pages", 0, "tenant memory-pressure budget: swap cold tenant pages out once more than this many are resident (0 disables the controller; requires a swap-capable scheme)")
 	tenantDurable := flag.Bool("tenant-durable", true, "journal tenant address spaces through -data-dir with the pool's -fsync guarantee: a restarted daemon serves every acknowledged tenant byte after a process crash, and after a power cut too under -fsync always (batch/off roll tenants back to a consistent prefix); no effect without -data-dir; the raw swapout/swapin wire ops are refused")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout (queueing included)")
-	hibPath := flag.String("hibernate", "secmemd.hib", "file the hibernate operation writes the pool image to (ignored with -data-dir)")
 	keyHex := flag.String("key", "", "32 hex chars of processor key (default: a fixed demo key)")
 	drain := flag.Duration("drain", 10*time.Second, "connection drain budget at shutdown")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + snapshots); empty runs in-memory only")
 	fsyncMode := flag.String("fsync", "always", "WAL sync policy: always (sync before ack), batch (background interval), off")
 	snapEvery := flag.Duration("snapshot-every", time.Minute, "background snapshot + WAL truncation period (0 disables; requires -data-dir)")
 	healthAddr := flag.String("health", "", "HTTP address for /healthz and /readyz probes (empty disables)")
-	maxInflight := flag.Int("max-inflight", 0, "admission-control bound on concurrent requests (0 = default, negative disables shedding)")
-	frameTimeout := flag.Duration("frame-timeout", 0, "budget for a client to finish sending a request frame (0 = default)")
-	repairBackoff := flag.Duration("repair-backoff", 0, "initial backoff between online shard-repair attempts (0 = default; requires -data-dir)")
-	repairAttempts := flag.Int("repair-attempts", 0, "repair attempts before the crash-loop breaker marks a shard down (0 = default)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the -health address")
 	clusterID := flag.String("cluster-id", "", "this node's member ID; enables cluster mode (requires -cluster and -data-dir)")
 	clusterList := flag.String("cluster", "", "static membership: comma-separated id=wire/health/repl entries")
@@ -236,14 +231,12 @@ func main() {
 		}
 		fsyncPolicy = policy
 		store, err = persist.Open(persist.Options{
-			Dir:            *dataDir,
-			Key:            key,
-			Fsync:          policy,
-			SnapshotEvery:  *snapEvery,
-			RepairBackoff:  *repairBackoff,
-			RepairAttempts: *repairAttempts,
-			Logf:           logger.Printf,
-			Obs:            obsSvc,
+			Dir:           *dataDir,
+			Key:           key,
+			Fsync:         policy,
+			SnapshotEvery: *snapEvery,
+			Logf:          logger.Printf,
+			Obs:           obsSvc,
 		})
 		if err != nil {
 			logger.Fatalf("persist: %v", err)
@@ -258,12 +251,9 @@ func main() {
 	}
 
 	srvOpts := server.Options{
-		Timeout:       *timeout,
-		HibernatePath: *hibPath,
-		FrameTimeout:  *frameTimeout,
-		MaxInflight:   *maxInflight,
-		Logf:          logger.Printf,
-		Obs:           obsSvc,
+		Timeout: *timeout,
+		Logf:    logger.Printf,
+		Obs:     obsSvc,
 	}
 	if store != nil {
 		srvOpts.Checkpoint = func() (string, int64, error) {

@@ -38,8 +38,9 @@ import (
 	"aisebmt/internal/server"
 )
 
-// secmemdBin is the daemon binary under test, built once by TestMain.
-var secmemdBin string
+// secmemdBin is the daemon binary under test and adminBin the membership
+// admin command, both built once by TestMain.
+var secmemdBin, adminBin string
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "secmemd-smoke-")
@@ -48,10 +49,13 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	secmemdBin = filepath.Join(dir, "secmemd")
-	if out, err := exec.Command("go", "build", "-o", secmemdBin, "aisebmt/cmd/secmemd").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go build secmemd: %v\n%s", err, out)
-		os.RemoveAll(dir)
-		os.Exit(1)
+	adminBin = filepath.Join(dir, "secmemadmin")
+	for bin, pkg := range map[string]string{secmemdBin: "aisebmt/cmd/secmemd", adminBin: "aisebmt/cmd/secmemadmin"} {
+		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+			fmt.Fprintf(os.Stderr, "go build %s: %v\n%s", pkg, err, out)
+			os.RemoveAll(dir)
+			os.Exit(1)
+		}
 	}
 	code := m.Run()
 	os.RemoveAll(dir)
@@ -859,7 +863,8 @@ func waitMetric(t *testing.T, d *daemon, name string, want float64, what string)
 
 // TestSmokeLifecycle walks a cluster through its whole membership
 // lifecycle over real daemons and the admin wire ops: a join through
-// Client.ClusterJoin and a joiner booted from the seed's sealed view; a
+// Client.ClusterJoin and a joiner booted from the seed's sealed view, read
+// back with the secmemadmin command; a
 // SIGKILLed founder whose range promotes and re-replicates on its own;
 // the victim restarted on its stale directory rejoining deposed behind
 // the fence; a leave through Client.ClusterLeave with verified handoff.
@@ -885,6 +890,20 @@ func TestSmokeLifecycle(t *testing.T) {
 	nodes["n4"] = startMember(t, n4, root, "-cluster-join", members[0].Repl)
 	nodes["n4"].waitReady(t)
 	waitMetric(t, nodes["n4"], "secmemd_cluster_view_epoch", 1, "the joiner fetched the view")
+	// The admin command reads the same view back from a member.
+	out, err := exec.Command(adminBin, "view", "-target", nodes["n1"].wire).CombinedOutput()
+	if err != nil {
+		t.Fatalf("secmemadmin view: %v\n%s", err, out)
+	}
+	var view struct {
+		Epoch uint64 `json:"epoch"`
+	}
+	if err := json.Unmarshal(out, &view); err != nil {
+		t.Fatalf("secmemadmin view output %q: %v", out, err)
+	}
+	if view.Epoch < 1 {
+		t.Fatalf("secmemadmin view: epoch %d after the join, want >= 1", view.Epoch)
+	}
 
 	// Failover with automatic re-replication.
 	nodes["n2"].kill(t)

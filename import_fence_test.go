@@ -21,7 +21,7 @@ var reproductionStack = []string{
 // serviceCommands are the service front ends outside internal/. The
 // reproduction's commands (attacksim, experiments, secmemsim, tracegen)
 // and examples/ may import either stack.
-var serviceCommands = []string{"cmd/secmemd", "cmd/secmemrouter", "cmd/chaos", "cmd/metricslint", "bench"}
+var serviceCommands = []string{"cmd/secmemd", "cmd/secmemadmin", "cmd/chaos", "cmd/metricslint", "bench"}
 
 // sanctionedEdges are the service → reproduction imports allowed by
 // name: the chaos harness replays the attack package's tamper

@@ -72,7 +72,6 @@ func (n *Node) applyView(v *View) error {
 
 	n.view.Store(v)
 	n.ms.Store(ms)
-	n.fwd.swap(ms)
 	n.met.members.Set(int64(len(v.Members)))
 	if n.selfLineage != "" {
 		n.met.ownedArcs.Set(int64(ms.Ring().Ranges()[n.selfLineage]))

@@ -22,8 +22,8 @@ type SmartClient struct {
 	timeout time.Duration
 	dial    func(addr string) (*server.Client, error)
 
-	conns    map[string]*server.Client
-	redirect map[string]string // owner ID -> learned wire addr
+	conns   map[string]*server.Client
+	learned redirects
 }
 
 // NewSmartClient builds a client over the member list. timeout bounds
@@ -37,10 +37,9 @@ func NewSmartClient(members []Member, timeout time.Duration) (*SmartClient, erro
 		timeout = 5 * time.Second
 	}
 	c := &SmartClient{
-		ms:       ms,
-		timeout:  timeout,
-		conns:    map[string]*server.Client{},
-		redirect: map[string]string{},
+		ms:      ms,
+		timeout: timeout,
+		conns:   map[string]*server.Client{},
 	}
 	c.dial = func(addr string) (*server.Client, error) {
 		cl, err := server.Dial(addr, c.timeout)
@@ -66,7 +65,7 @@ func (c *SmartClient) Members() []Member {
 	return out
 }
 
-func (c *SmartClient) conn(addr string) (*server.Client, error) {
+func (c *SmartClient) get(addr string) (*server.Client, error) {
 	if cl := c.conns[addr]; cl != nil {
 		return cl, nil
 	}
@@ -78,115 +77,19 @@ func (c *SmartClient) conn(addr string) (*server.Client, error) {
 	return cl, nil
 }
 
-func (c *SmartClient) drop(addr string) {
+// put leaves the connection in the per-node map.
+func (c *SmartClient) put(string, *server.Client) {}
+
+func (c *SmartClient) drop(addr string, _ *server.Client) {
 	if cl := c.conns[addr]; cl != nil {
 		cl.Close()
 		delete(c.conns, addr)
 	}
 }
 
-// stallRetries is how many times do() re-asks the SAME node that
-// answered Overloaded before walking on: an overloaded answer usually
-// means the serving node is the right one but momentarily stalled
-// (replication stream re-attaching after a rotation or a promotion's
-// re-replication catching up), so a short jittered wait at the correct
-// node beats hopping to a successor that will just answer NotOwner.
-const stallRetries = 2
-
-// stallBackoff returns the jittered wait before stall retry attempt k
-// (0-based): ~25ms, ~50ms, spread over [base/2, base).
-func stallBackoff(k int) time.Duration {
-	base := 25 * time.Millisecond << uint(k)
-	return base/2 + time.Duration(int64(time.Now().UnixNano())%int64(base/2))
-}
-
-// do walks the candidates for page p: learned redirect, ring owner, then
-// successors, following NotOwner answers. The walk is bounded by the
-// ring size (a redirect chain can legitimately visit a handoff's old and
-// new holder plus successors, but can never need more distinct nodes
-// than the cluster has) — and the `tried` set breaks redirect loops:
-// a node that already answered is never dialed twice in one walk.
+// do routes op for page p from its ring owner (see walk).
 func (c *SmartClient) do(p uint64, op func(cl *server.Client) error) error {
-	ownerID := c.ms.ring.OwnerPage(p)
-	var targets []string
-	if learned := c.redirect[ownerID]; learned != "" {
-		targets = append(targets, learned)
-	}
-	m, _ := c.ms.Member(ownerID)
-	targets = append(targets, m.Wire)
-	for _, s := range c.ms.Successors(ownerID) {
-		targets = append(targets, s.Wire)
-	}
-	maxWalk := len(c.ms.ids) + 1 // every member once, plus one learned redirect
-	tried := map[string]bool{}
-	var lastErr error
-	hops := 0
-	for i := 0; i < len(targets) && hops < maxWalk; i++ {
-		addr := targets[i]
-		if addr == "" || tried[addr] {
-			continue
-		}
-		tried[addr] = true
-		hops++
-		cl, err := c.conn(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		stalls := 0
-	again:
-		err = op(cl)
-		if err == nil {
-			if addr == m.Wire {
-				delete(c.redirect, ownerID)
-			} else {
-				c.redirect[ownerID] = addr
-			}
-			return nil
-		}
-		if na, ok := server.NotOwnerAddr(err); ok {
-			targets = append(targets[:i+1], append([]string{na}, targets[i+1:]...)...)
-			lastErr = err
-			continue
-		}
-		if st, ok := statusOf(err); ok {
-			if st == server.StatusOverloaded && stalls < stallRetries {
-				// Shed retryably by the node itself (admission control, a
-				// stalled replication stream, a promotion in flight): this IS
-				// the serving node, so wait out the stall here first.
-				time.Sleep(stallBackoff(stalls))
-				stalls++
-				goto again
-			}
-			if st.Retryable() {
-				// Still transient after the stall retries (or a shed of a
-				// different kind): another candidate may hold a promoted
-				// copy of this range — keep walking before giving up.
-				lastErr = err
-				continue
-			}
-			// A definitive verdict; surface it to the caller.
-			return err
-		}
-		// Transport error: connection (and possibly node) dead.
-		c.drop(addr)
-		lastErr = err
-	}
-	if _, ok := statusOf(lastErr); ok {
-		return lastErr
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("no candidates")
-	}
-	return fmt.Errorf("%w: page %d (owner %s): %v", server.ErrUnavailable, p, ownerID, lastErr)
-}
-
-func statusOf(err error) (server.Status, bool) {
-	var se *server.StatusError
-	if errors.As(err, &se) {
-		return se.Status, true
-	}
-	return 0, false
+	return walk(c.ms, c, &c.learned, c.ms.ring.OwnerPage(p), p, op)
 }
 
 // Read fetches n plaintext bytes at addr from the serving node.
@@ -216,14 +119,14 @@ func (c *SmartClient) DirectWrite(memberID string, a layout.Addr, data []byte, m
 	if !ok {
 		return fmt.Errorf("cluster: unknown member %q", memberID)
 	}
-	cl, err := c.conn(m.Wire)
+	cl, err := c.get(m.Wire)
 	if err != nil {
 		return err
 	}
 	err = cl.Write(a, data, meta)
 	if err != nil {
 		if _, ok := statusOf(err); !ok {
-			c.drop(m.Wire)
+			c.drop(m.Wire, cl)
 		}
 	}
 	return err

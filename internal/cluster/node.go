@@ -51,11 +51,11 @@ type Config struct {
 	SnapshotEvery time.Duration
 	// ReplListener accepts replication streams from peers (the address
 	// advertised as this member's Repl). Nil disables the receiver (and
-	// with it this node's ability to hold standbys) — single-node rings
-	// and router-only tests.
+	// with it this node's ability to hold standbys) — single-node rings.
 	ReplListener net.Listener
 	// Proxy, when true, forwards misrouted requests to the owner instead
-	// of answering NotOwner, so dumb clients work against any node.
+	// of answering NotOwner, so plain clients work against any node. A
+	// request a peer's proxy forwarded is never forwarded again.
 	Proxy bool
 
 	// Obs registers the secmemd_cluster_* metrics; nil is allowed.
@@ -63,7 +63,7 @@ type Config struct {
 	// Logf receives failover and replication lifecycle events.
 	Logf func(format string, args ...any)
 
-	// Dialer opens replication/forwarding connections (chaos tests
+	// Dialer opens replication connections (chaos tests
 	// inject partitions here); nil means net.Dial with IOTimeout. The
 	// from argument is this node's ID.
 	Dialer func(from, addr string) (net.Conn, error)
@@ -134,8 +134,8 @@ type Node struct {
 	cfg  Config
 	self Member
 	met  *metrics
-	ship *shipper // own-range stream; nil for lineage-less (joined) members
-	fwd  *forwarder
+	ship *shipper  // own-range stream; nil for lineage-less (joined) members
+	fwd  *peerPool // proxy mode's connections to peers
 
 	// selfLineage is this node's founding ring lineage — its own ID when
 	// it founded a range, "" for members that joined later and serve
@@ -301,8 +301,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if n.selfLineage != "" {
 		n.met.ownedArcs.Set(int64(ms.Ring().Ranges()[n.selfLineage]))
 	}
-	n.fwd = newForwarder(ms, n.cfg.IOTimeout)
-	n.fwd.resolve = func(l string) string { return n.curView().servingMember(l) }
+	n.fwd = newPeerPool(n.cfg.IOTimeout)
 
 	cfg.Pool.SetWriteFence(n.writeFence)
 	if n.cfg.ReplListener != nil {
@@ -605,9 +604,9 @@ func (n *Node) routeAdopted(l, fallback string) (*shard.Pool, string, error) {
 	return nil, fallback, nil
 }
 
-// redirect converts a non-local route into the wire answer: a proxy call
-// when Proxy is on, a NotOwner error carrying the target's wire address
-// otherwise.
+// redirect converts a non-local route into the wire answer when the node
+// does not proxy it (proxying is off, or a peer's proxy already forwarded
+// the request): a NotOwner error carrying the target's wire address.
 func (n *Node) redirect(to string) error {
 	n.met.notOwner.Inc()
 	m, ok := n.membership().Member(to)
@@ -640,8 +639,12 @@ func (n *Node) Read(ctx context.Context, a layout.Addr, dst []byte, meta core.Me
 	if pool != nil {
 		return n.wrapOwn(pool.Read(ctx, a, dst, meta))
 	}
-	if n.cfg.Proxy {
-		return n.fwd.Read(ctx, a, dst, meta)
+	if n.cfg.Proxy && !server.Forwarded(ctx) {
+		return n.forward(to, a, func(c *server.Client) error {
+			b, err := c.Read(a, len(dst), meta)
+			copy(dst, b)
+			return err
+		})
 	}
 	return n.redirect(to)
 }
@@ -655,10 +658,16 @@ func (n *Node) Write(ctx context.Context, a layout.Addr, src []byte, meta core.M
 	if pool != nil {
 		return n.wrapOwn(pool.Write(ctx, a, src, meta))
 	}
-	if n.cfg.Proxy {
-		return n.fwd.Write(ctx, a, src, meta)
+	if n.cfg.Proxy && !server.Forwarded(ctx) {
+		return n.forward(to, a, func(c *server.Client) error { return c.Write(a, src, meta) })
 	}
 	return n.redirect(to)
+}
+
+// forward runs op on whichever node serves a's page, starting the
+// routing walk at to, the member route resolved as its holder.
+func (n *Node) forward(to string, a layout.Addr, op func(*server.Client) error) error {
+	return walk(n.membership(), n.fwd, &n.fwd.learned, to, uint64(a)/layout.PageSize, op)
 }
 
 // SwapOut implements server.Backend.
@@ -717,9 +726,6 @@ func (n *Node) Cordon(i int) error { return n.cfg.Pool.Cordon(i) }
 
 // Uncordon implements server.Backend against the local pool.
 func (n *Node) Uncordon(i int) error { return n.cfg.Pool.Uncordon(i) }
-
-// Hibernate implements server.Backend against the local pool.
-func (n *Node) Hibernate(w io.Writer) ([]core.ChipState, error) { return n.cfg.Pool.Hibernate(w) }
 
 // ShardStates implements server.Backend against the local pool.
 func (n *Node) ShardStates() []shard.ShardState { return n.cfg.Pool.ShardStates() }

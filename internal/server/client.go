@@ -23,6 +23,7 @@ type Client struct {
 	br         *bufio.Reader
 	deadlineUS uint32
 	traceNext  uint64 // next TraceID to stamp; 0 = tracing off
+	forwarded  bool
 }
 
 // Dial connects to a secmemd server.
@@ -56,6 +57,10 @@ func (c *Client) SetRequestDeadline(d time.Duration) {
 	c.deadlineUS = uint32(us)
 }
 
+// MarkForwarded stamps every subsequent request as forwarded by a
+// cluster proxy (Request.Forwarded).
+func (c *Client) MarkForwarded() { c.forwarded = true }
+
 // EnableTrace stamps every subsequent request with a distinct nonzero
 // TraceID, counting up from base (base 0 picks 1). The server records a
 // per-stage span for each traced request in its trace rings (/tracez).
@@ -76,6 +81,7 @@ func (c *Client) Do(q *Request) (*Response, error) {
 	if q.DeadlineUS == 0 {
 		q.DeadlineUS = c.deadlineUS
 	}
+	q.Forwarded = q.Forwarded || c.forwarded
 	if q.TraceID == 0 && c.traceNext != 0 {
 		q.TraceID = c.traceNext
 		c.traceNext++
@@ -221,7 +227,9 @@ func (c *Client) SwapIn(img *core.PageImage, addr layout.Addr, slot int) error {
 	return check(OpSwapIn, p)
 }
 
-// Hibernate asks the daemon to write its pool image to disk.
+// Hibernate asks the daemon to cut a durable checkpoint (sealed snapshot
+// + WAL truncation); a daemon without a data directory answers
+// StatusUnsupported.
 func (c *Client) Hibernate() error {
 	p, err := c.Do(&Request{Op: OpHibernate})
 	if err != nil {

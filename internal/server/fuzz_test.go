@@ -26,6 +26,7 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		{Op: OpWrite, Addr: 64, Data: []byte("d"), DeadlineUS: ^uint32(0)},
 		{Op: OpRead, Addr: 4096, Count: 64, TraceID: ^uint64(0)},
 		{Op: OpWrite, Addr: 64, Data: []byte("t"), DeadlineUS: 1, TraceID: 7},
+		{Op: OpWrite, Addr: 64, Data: []byte("f"), Forwarded: true},
 		{Op: OpCordon, Addr: 1},
 		{Op: OpUncordon, Addr: 1},
 		{Op: OpTenantCreate, Count: 8},
@@ -70,7 +71,7 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		}
 		if q.Op != q2.Op || q.Addr != q2.Addr || q.Virt != q2.Virt ||
 			q.PID != q2.PID || q.Count != q2.Count || q.Slot != q2.Slot ||
-			!bytes.Equal(q.Data, q2.Data) {
+			q.Forwarded != q2.Forwarded || !bytes.Equal(q.Data, q2.Data) {
 			t.Fatal("double round-trip mismatch")
 		}
 	})

@@ -36,13 +36,10 @@ type Options struct {
 	// shedding. Excess requests are answered immediately with
 	// StatusOverloaded rather than queueing without bound.
 	MaxInflight int
-	// HibernatePath is where OpHibernate writes the pool image;
-	// "" means "secmemd.hib".
-	HibernatePath string
-	// Checkpoint, when non-nil, replaces the legacy hibernate-to-file
-	// path: OpHibernate cuts a durable snapshot through it (the
-	// durability layer's snapshot + WAL truncation) and reports the
-	// returned path and size.
+	// Checkpoint serves OpHibernate: it cuts a durable snapshot (the
+	// durability layer's snapshot + WAL truncation) and the op reports
+	// the returned path and size. Nil answers OpHibernate Unsupported — a
+	// daemon without a data directory has nowhere sealed to image to.
 	Checkpoint func() (path string, bytes int64, err error)
 	// Logf, when non-nil, receives connection-level events.
 	Logf func(format string, args ...any)
@@ -102,7 +99,6 @@ type Backend interface {
 	SwapIn(ctx context.Context, img *core.PageImage, addr layout.Addr, slot int) error
 	Cordon(i int) error
 	Uncordon(i int) error
-	Hibernate(w io.Writer) ([]core.ChipState, error)
 	ShardStates() []shard.ShardState
 	ShardFault(i int) (shard.FaultKind, error)
 	Close() error
@@ -169,9 +165,6 @@ func NewGated(opts Options) *Server {
 	if opts.MaxInflight == 0 {
 		opts.MaxInflight = 1024
 	}
-	if opts.HibernatePath == "" {
-		opts.HibernatePath = "secmemd.hib"
-	}
 	s := &Server{opts: opts, ready: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 	if opts.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInflight)
@@ -194,6 +187,13 @@ func (s *Server) Publish(pool Backend) {
 	s.pool = pool
 	close(s.ready)
 }
+
+type forwardedKey struct{}
+
+// Forwarded reports whether the request behind a backend call's ctx was
+// forwarded by a cluster proxy (Request.Forwarded): a cluster backend
+// then serves it or redirects, and never forwards it again.
+func Forwarded(ctx context.Context) bool { return ctx.Value(forwardedKey{}) != nil }
 
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("server: closed")
@@ -374,6 +374,9 @@ func (s *Server) dispatch(q *Request) *Response {
 	case <-ctx.Done():
 		return fail(StatusTimeout, errors.New("server: still recovering"))
 	}
+	if q.Forwarded {
+		ctx = context.WithValue(ctx, forwardedKey{}, true)
+	}
 	meta := core.Meta{VirtAddr: q.Virt, PID: q.PID, Trace: q.TraceID}
 	switch q.Op {
 	case OpRead:
@@ -447,18 +450,14 @@ func (s *Server) dispatch(q *Request) *Response {
 	case OpClusterView, OpClusterJoin, OpClusterLeave, OpClusterRemove:
 		return s.dispatchCluster(q)
 	case OpHibernate:
-		if s.opts.Checkpoint != nil {
-			path, n, err := s.opts.Checkpoint()
-			if err != nil {
-				return fail(StatusInternal, err)
-			}
-			return &Response{Status: StatusOK, Data: []byte(fmt.Sprintf(`{"path":%q,"bytes":%d}`, path, n))}
+		if s.opts.Checkpoint == nil {
+			return fail(StatusUnsupported, fmt.Errorf("server: no durable store to checkpoint (%w)", core.ErrUnsupported))
 		}
-		n, err := s.hibernate()
+		path, n, err := s.opts.Checkpoint()
 		if err != nil {
 			return fail(StatusInternal, err)
 		}
-		return &Response{Status: StatusOK, Data: []byte(fmt.Sprintf(`{"path":%q,"bytes":%d}`, s.opts.HibernatePath, n))}
+		return &Response{Status: StatusOK, Data: []byte(fmt.Sprintf(`{"path":%q,"bytes":%d}`, path, n))}
 	default:
 		return fail(StatusBadRequest, fmt.Errorf("unknown op %d", q.Op))
 	}
@@ -556,33 +555,6 @@ func (s *Server) dispatchCluster(q *Request) *Response {
 	return &Response{Status: StatusOK, Data: data}
 }
 
-// hibernate writes the pool image plus its chip states to HibernatePath
-// (the daemon plays the role of the machine's non-volatile storage; a
-// real deployment would keep the chip states in a separate trusted
-// store — here they share the file, which models an operator backup, not
-// the trust boundary).
-func (s *Server) hibernate() (int64, error) {
-	f, err := os.Create(s.opts.HibernatePath)
-	if err != nil {
-		return 0, err
-	}
-	chips, err := s.pool.Hibernate(f)
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := json.NewEncoder(f).Encode(chips); err != nil {
-		f.Close()
-		return 0, err
-	}
-	n, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	return n, f.Close()
-}
-
 // fail builds an error response.
 func fail(st Status, err error) *Response {
 	return &Response{Status: st, Data: []byte(err.Error())}
@@ -591,9 +563,9 @@ func fail(st Status, err error) *Response {
 // failErr classifies a backend error into a response. NotOwner redirects
 // carry the owner's address alone as the payload so a smart client can
 // re-dial without parsing prose. A *StatusError from a downstream node
-// (proxy and router backends forward over the same protocol) passes
-// through with its status and payload intact, so a chain of hops answers
-// exactly what the serving node answered.
+// (a cluster proxy forwards over the same protocol) passes through with
+// its status and payload intact, so a forwarded request answers exactly
+// what the serving node answered.
 func failErr(err error) *Response {
 	var no *NotOwnerError
 	if errors.As(err, &no) {

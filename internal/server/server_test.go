@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -33,9 +32,8 @@ func startServer(t *testing.T) (string, *shard.Pool, func() error) {
 		t.Fatalf("pool: %v", err)
 	}
 	srv := New(pool, Options{
-		Timeout:       2 * time.Second,
-		HibernatePath: filepath.Join(t.TempDir(), "test.hib"),
-		Logf:          t.Logf,
+		Timeout: 2 * time.Second,
+		Logf:    t.Logf,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -131,9 +129,9 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("tampered swapin: err = %v, want StatusTampered", err)
 	}
 
-	// Hibernate writes the pool image server-side.
-	if err := c.Hibernate(); err != nil {
-		t.Fatalf("hibernate: %v", err)
+	// Hibernate is a durable checkpoint; an in-memory server has no store.
+	if err := c.Hibernate(); !errors.As(err, &se) || se.Status != StatusUnsupported {
+		t.Fatalf("hibernate without a store: err = %v, want StatusUnsupported", err)
 	}
 
 	// Out-of-range requests map to bad-request, not connection death.

@@ -202,8 +202,16 @@ type Request struct {
 	// disables tracing; recording is lock-free and allocation-free either
 	// way.
 	TraceID uint64
-	Data    []byte
+	// Forwarded marks a request a cluster member's proxy sent on for its
+	// client: the receiving member serves it or answers NotOwner, and
+	// never forwards it again, so proxying members cannot bounce one
+	// request between themselves. It rides in the op byte's high bit.
+	Forwarded bool
+	Data      []byte
 }
+
+// opForwarded is the op byte's flag bit for Request.Forwarded.
+const opForwarded = 0x80
 
 // Response is one wire response. Data carries read plaintext, an encoded
 // PageImage for swapout, JSON for stats, concatenated per-shard roots for
@@ -248,6 +256,9 @@ func readFrame(r io.Reader) ([]byte, error) {
 func EncodeRequest(w io.Writer, q *Request) error {
 	body := make([]byte, reqHeaderLen+len(q.Data))
 	body[0] = byte(q.Op)
+	if q.Forwarded {
+		body[0] |= opForwarded
+	}
 	binary.BigEndian.PutUint64(body[1:9], q.Addr)
 	binary.BigEndian.PutUint64(body[9:17], q.Virt)
 	binary.BigEndian.PutUint32(body[17:21], q.PID)
@@ -274,7 +285,8 @@ func parseRequest(body []byte) (*Request, error) {
 		return nil, fmt.Errorf("server: request frame of %d bytes is shorter than the %d-byte header", len(body), reqHeaderLen)
 	}
 	q := &Request{
-		Op:         Op(body[0]),
+		Op:         Op(body[0] &^ opForwarded),
+		Forwarded:  body[0]&opForwarded != 0,
 		Addr:       binary.BigEndian.Uint64(body[1:9]),
 		Virt:       binary.BigEndian.Uint64(body[9:17]),
 		PID:        binary.BigEndian.Uint32(body[17:21]),
@@ -284,7 +296,7 @@ func parseRequest(body []byte) (*Request, error) {
 		TraceID:    binary.BigEndian.Uint64(body[33:41]),
 	}
 	if q.Op < OpRead || q.Op > OpTenantMap {
-		return nil, fmt.Errorf("server: unknown op %d", body[0])
+		return nil, fmt.Errorf("server: unknown op %d", q.Op)
 	}
 	if len(body) > reqHeaderLen {
 		q.Data = body[reqHeaderLen:]

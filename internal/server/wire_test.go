@@ -24,6 +24,8 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpWrite, Addr: 0x4000, Data: []byte("traced"), DeadlineUS: 250_000, TraceID: 1},
 		{Op: OpCordon, Addr: 1},
 		{Op: OpUncordon, Addr: 1},
+		{Op: OpRead, Addr: 0x1000, Count: 64, Forwarded: true},
+		{Op: OpTenantMap, Addr: 3, Forwarded: true},
 	}
 	for _, q := range cases {
 		var buf bytes.Buffer

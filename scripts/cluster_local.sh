@@ -1,12 +1,14 @@
 #!/bin/sh
-# cluster_local.sh — run a local 3-node secmemd cluster plus a router in
-# the foreground: the README "Running a cluster" quickstart. Ctrl-C tears
-# everything down (members exit through their drain-and-verify path).
+# cluster_local.sh — run a local 3-node secmemd cluster in the foreground:
+# the README "Running a cluster" quickstart. Every member runs with
+# -cluster-proxy, so a plain wire client on any member reaches every page.
+# Ctrl-C tears everything down (members exit through their
+# drain-and-verify path).
 #
 #   make cluster
-#   # membership:     go run ./cmd/secmemrouter -admin view -target 127.0.0.1:7401
+#   # membership:     go run ./cmd/secmemadmin view -target 127.0.0.1:7401
 #   # smart clients:  cluster.NewSmartClient over the member list below
-#   # dumb clients:   any server.Client on 127.0.0.1:7400 (via the router)
+#   # plain clients:  any server.Client on 127.0.0.1:7401..7403 (proxied)
 #
 # cmd/secmemd/smoke_test.go (make smoke) drives the same topology from Go:
 # traffic, metrics lint, failover, join and leave.
@@ -20,7 +22,6 @@ DATA="${DATA:-/tmp/secmemd-cluster-local}"
 MEMBERS="n1=$BASE:7401/$BASE:9401/$BASE:8401,n2=$BASE:7402/$BASE:9402/$BASE:8402,n3=$BASE:7403/$BASE:9403/$BASE:8403"
 
 go build -o /tmp/secmemd ./cmd/secmemd
-go build -o /tmp/secmemrouter ./cmd/secmemrouter
 
 PIDS=""
 cleanup() {
@@ -30,15 +31,13 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 for id in n1 n2 n3; do
-    /tmp/secmemd -cluster-id "$id" -cluster "$MEMBERS" \
+    /tmp/secmemd -cluster-id "$id" -cluster "$MEMBERS" -cluster-proxy \
         -mem "$MEM" -data-dir "$DATA/$id" -fsync always &
     PIDS="$PIDS $!"
 done
-/tmp/secmemrouter -listen "$BASE:7400" -health "$BASE:9400" -cluster "$MEMBERS" &
-PIDS="$PIDS $!"
 
 echo
 echo "cluster up: members $MEMBERS"
-echo "router (plain wire protocol) on $BASE:7400, health on $BASE:9400"
+echo "plain wire clients: any member's wire port (each proxies to the owner)"
 echo "Ctrl-C to stop."
 wait
