@@ -12,7 +12,8 @@
 #   make fuzz            a short fuzz session on the wire codec
 #   make fuzz-smoke      brief fuzz pass over every decoder that parses
 #                        untrusted bytes (wire, WAL record, sealed anchor,
-#                        counter block, tenant journal restore), the
+#                        counter block, tenant journal restore, memory
+#                        image against its per-record reader), the
 #                        controller's byte-granular span path, the
 #                        untrusted-memory model against its map oracle,
 #                        the controller's AES/HMAC engines against the
@@ -27,6 +28,8 @@
 #   make bench-smoke     one-iteration pass over every microbenchmark (CI
 #                        keeps them compiling and allocation-clean),
 #                        including the tree engine's serial-reference pair
+#   make metrics-smoke   the smoke legs that lint a real daemon's /metrics,
+#                        one of them after a SIGKILL recovery (phase gauges)
 #   make smoke           end-to-end smoke over real secmemd processes
 #                        (cmd/secmemd/smoke_test.go, build tag smoke):
 #                        metrics lint and spot checks, a cordoned shard,
@@ -43,7 +46,7 @@
 
 GO ?= go
 
-.PHONY: check vet build cross test race fuzz fuzz-smoke bench bench-quick bench-smoke smoke chaos chaos-smoke cluster
+.PHONY: check vet build cross test race fuzz fuzz-smoke bench bench-quick bench-smoke metrics-smoke smoke chaos chaos-smoke cluster
 
 check: vet build cross test race
 
@@ -83,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run=none -fuzz=FuzzWriteRead -fuzztime=5s ./internal/core/
 	$(GO) test -run=none -fuzz=FuzzRestore -fuzztime=5s ./internal/tenant/journal/
 	$(GO) test -run=none -fuzz=FuzzMemoryOps -fuzztime=5s ./internal/mem/
+	$(GO) test -run=none -fuzz=FuzzDeserialize -fuzztime=5s ./internal/mem/
 
 chaos: build
 	$(GO) run ./cmd/chaos -rounds 3
@@ -99,6 +103,9 @@ bench-quick:
 
 bench-smoke:
 	$(GO) test -run=none -bench . -benchtime 1x ./internal/mem/... ./internal/crypto/... ./internal/encrypt/... ./internal/counter/... ./internal/integrity/... ./internal/core/... ./internal/shard/... .
+
+metrics-smoke:
+	$(GO) test -tags smoke -count=1 -run 'TestSmokeMetrics|TestSmokeTenantRecover' ./cmd/secmemd/
 
 smoke:
 	$(GO) test -tags smoke -count=1 ./cmd/secmemd/

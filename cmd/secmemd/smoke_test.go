@@ -669,6 +669,12 @@ func TestSmokeTenantRecover(t *testing.T) {
 	}
 	check(child, 0, pagePattern(0, 2)) // the fork's divergence
 	check(child, layout.PageSize, pagePattern(1, 1))
+	// The recovery's phases are exported through a clean exposition.
+	d.lint(t)
+	s := d.samples(t)
+	for _, phase := range []string{"snapshot_read", "rebuild", "slowest_sweep"} {
+		wantSample(t, s, `secmemd_persist_recovery_phase_us{phase="`+phase+`"}`, positive, "recovery phase gauge missing or zero")
+	}
 	d.stop(t)
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -89,7 +90,7 @@ func (c *SmartClient) drop(addr string, _ *server.Client) {
 
 // do routes op for page p from its ring owner (see walk).
 func (c *SmartClient) do(p uint64, op func(cl *server.Client) error) error {
-	return walk(c.ms, c, &c.learned, c.ms.ring.OwnerPage(p), p, op)
+	return walk(context.Background(), c.ms, c, &c.learned, c.ms.ring.OwnerPage(p), p, op)
 }
 
 // Read fetches n plaintext bytes at addr from the serving node.

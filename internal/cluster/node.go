@@ -63,9 +63,9 @@ type Config struct {
 	// Logf receives failover and replication lifecycle events.
 	Logf func(format string, args ...any)
 
-	// Dialer opens replication connections (chaos tests
-	// inject partitions here); nil means net.Dial with IOTimeout. The
-	// from argument is this node's ID.
+	// Dialer opens replication connections and a proxy's connections to
+	// its peers' wire ports (chaos tests inject partitions here); nil
+	// means net.Dial with IOTimeout. The from argument is this node's ID.
 	Dialer func(from, addr string) (net.Conn, error)
 	// Probe checks a member's liveness; nil means an HTTP GET of
 	// http://<health>/healthz. The from argument is this node's ID.
@@ -301,7 +301,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if n.selfLineage != "" {
 		n.met.ownedArcs.Set(int64(ms.Ring().Ranges()[n.selfLineage]))
 	}
-	n.fwd = newPeerPool(n.cfg.IOTimeout)
+	n.fwd = newPeerPool(n.cfg.IOTimeout, func(addr string) (net.Conn, error) { return n.cfg.Dialer(n.self.ID, addr) })
 
 	cfg.Pool.SetWriteFence(n.writeFence)
 	if n.cfg.ReplListener != nil {
@@ -640,7 +640,7 @@ func (n *Node) Read(ctx context.Context, a layout.Addr, dst []byte, meta core.Me
 		return n.wrapOwn(pool.Read(ctx, a, dst, meta))
 	}
 	if n.cfg.Proxy && !server.Forwarded(ctx) {
-		return n.forward(to, a, func(c *server.Client) error {
+		return n.forward(ctx, to, a, func(c *server.Client) error {
 			b, err := c.Read(a, len(dst), meta)
 			copy(dst, b)
 			return err
@@ -659,15 +659,16 @@ func (n *Node) Write(ctx context.Context, a layout.Addr, src []byte, meta core.M
 		return n.wrapOwn(pool.Write(ctx, a, src, meta))
 	}
 	if n.cfg.Proxy && !server.Forwarded(ctx) {
-		return n.forward(to, a, func(c *server.Client) error { return c.Write(a, src, meta) })
+		return n.forward(ctx, to, a, func(c *server.Client) error { return c.Write(a, src, meta) })
 	}
 	return n.redirect(to)
 }
 
 // forward runs op on whichever node serves a's page, starting the
-// routing walk at to, the member route resolved as its holder.
-func (n *Node) forward(to string, a layout.Addr, op func(*server.Client) error) error {
-	return walk(n.membership(), n.fwd, &n.fwd.learned, to, uint64(a)/layout.PageSize, op)
+// routing walk at to, the member route resolved as its holder. The walk
+// ends early once the client's request context is done.
+func (n *Node) forward(ctx context.Context, to string, a layout.Addr, op func(*server.Client) error) error {
+	return walk(ctx, n.membership(), n.fwd, &n.fwd.learned, to, uint64(a)/layout.PageSize, op)
 }
 
 // SwapOut implements server.Backend.

@@ -374,4 +374,64 @@ func TestWalkOrder(t *testing.T) {
 		t.Fatalf("redirect chain: err = %v, want ErrUnavailable", err)
 	}
 	expect("ring-size bound", owner, "x1", "x2", "x3")
+
+	// A done context stops the walk before its next hop or stall wait: a
+	// pre-cancelled walk asks nobody, and one cancelled during the first
+	// answer asks nobody else, whether that answer redirects or stalls.
+	walkCtx := func(ctx context.Context) error {
+		c := client()
+		return walk(ctx, c.ms, c, &c.learned, owner, 0, func(cl *server.Client) error {
+			return cl.Write(blockAddr(0, 0), fillByte(0, 1), core.Meta{})
+		})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ws.set(nil)
+	if err := walkCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled walk: err = %v, want context.Canceled", err)
+	}
+	expect("pre-cancelled")
+	for name, answer := range map[string]func(int) error{"redirect": notOwner(s1), "stall": stalled(stallRetries + 1)} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ws.set(map[string]func(int) error{owner: func(call int) error { cancel(); return answer(call) }})
+		if err := walkCtx(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s cancelled mid-walk: err = %v, want context.Canceled", name, err)
+		}
+		expect(name+" cancelled mid-walk", owner)
+	}
+}
+
+// TestProxyHopsHonourPartition: a proxy dials its peers through
+// Config.Dialer, so a partition between the proxy and a range's owner
+// keeps proxied requests away from the owner. The request fails
+// retryably (the owner's successors still redirect to it); nothing lands
+// on the owner.
+func TestProxyHopsHonourPartition(t *testing.T) {
+	tc := startCluster(t, 3, true)
+	lineages := []string{"n1", "n2", "n3"}
+	owner := "n1"
+	proxy := tc.lineageSuccessors(owner)[1] // neither the owner nor its follower
+	page := pagesOwnedBy(lineages, owner, 64)[0]
+	a := blockAddr(page, 0)
+	c := tc.plainClient(proxy)
+
+	// Cut before the proxy ever dials the owner: the world intercepts
+	// dials, not connections already open.
+	tc.w.partition(proxy, owner, true)
+	err := c.Write(a, fillByte(a, 0x22), core.Meta{})
+	if !server.Retryable(err) {
+		t.Fatalf("proxied write across the partition: err = %v, want a retryable failure", err)
+	}
+	got, err := tc.plainClient(owner).Read(a, layout.BlockSize, core.Meta{})
+	if err != nil {
+		t.Fatalf("direct read from the owner: %v", err)
+	}
+	if got[0] == fillByte(a, 0x22)[0] {
+		t.Fatal("the proxied write reached the owner across the partition")
+	}
+
+	tc.w.partition(proxy, owner, false)
+	if err := retry(5*time.Second, func() error { return c.Write(a, fillByte(a, 0x33), core.Meta{}) }); err != nil {
+		t.Fatalf("proxied write after the partition healed: %v", err)
+	}
 }

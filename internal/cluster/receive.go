@@ -355,7 +355,7 @@ func (n *Node) applySegment(rangeID string, sb *standby, seg *persist.Segment) (
 		}
 	}
 	for _, op := range ops {
-		if rerr := sb.pool.ReplayOp(int(seg.Shard), op); rerr != nil {
+		if _, rerr := sb.pool.ReplayOp(int(seg.Shard), op); rerr != nil {
 			if errors.Is(rerr, core.ErrTampered) {
 				return ackError, fmt.Sprintf("replay: %v", rerr)
 			}

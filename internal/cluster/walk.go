@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"time"
@@ -73,8 +75,9 @@ func stallBackoff(k int) time.Duration {
 // once plus one learned redirect (a handoff's old and new holder plus
 // successors never need more). A definitive status is returned as-is;
 // exhausting every candidate wraps server.ErrUnavailable around the
-// last answer.
-func walk(ms *Membership, src conns, learned *redirects, ownerID string, p uint64, op func(*server.Client) error) error {
+// last answer. A done ctx ends the walk before its next hop or stall
+// wait with ctx.Err(), so the caller's deadline bounds it.
+func walk(ctx context.Context, ms *Membership, src conns, learned *redirects, ownerID string, p uint64, op func(*server.Client) error) error {
 	owner, _ := ms.Member(ownerID)
 	var targets []string
 	if l := learned.get(ownerID); l != "" {
@@ -92,6 +95,9 @@ func walk(ms *Membership, src conns, learned *redirects, ownerID string, p uint6
 		if addr == "" || tried[addr] {
 			continue
 		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		tried[addr] = true
 		c, err := src.get(addr)
 		if err != nil {
@@ -103,7 +109,10 @@ func walk(ms *Membership, src conns, learned *redirects, ownerID string, p uint6
 		// replication stream, a promotion in flight): this IS the serving
 		// node, so wait out the stall here first.
 		for k := 0; k < stallRetries && isStatus(err, server.StatusOverloaded); k++ {
-			time.Sleep(stallBackoff(k))
+			if werr := sleepCtx(ctx, stallBackoff(k)); werr != nil {
+				src.put(addr, c)
+				return werr
+			}
 			err = op(c)
 		}
 		if err == nil {
@@ -135,6 +144,18 @@ func walk(ms *Membership, src conns, learned *redirects, ownerID string, p uint6
 	return fmt.Errorf("%w: no node served page %d (owner %s): %w", server.ErrUnavailable, p, ownerID, lastErr)
 }
 
+// sleepCtx waits d, or returns ctx.Err() as soon as ctx is done.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
 func statusOf(err error) (server.Status, bool) {
 	var se *server.StatusError
 	if errors.As(err, &se) {
@@ -150,9 +171,11 @@ func isStatus(err error, want server.Status) bool {
 
 // peerPool is a proxying Node's connection source: idle wire connections
 // to its peers, shared by every request goroutine, plus the redirects its
-// walks learned.
+// walks learned. It opens connections through dial (the Node's
+// Config.Dialer), so a partition injected there cuts proxied hops too.
 type peerPool struct {
 	timeout time.Duration
+	dial    func(addr string) (net.Conn, error)
 	learned redirects
 
 	mu     sync.Mutex
@@ -160,8 +183,8 @@ type peerPool struct {
 	closed bool
 }
 
-func newPeerPool(timeout time.Duration) *peerPool {
-	return &peerPool{timeout: timeout, idle: map[string][]*server.Client{}}
+func newPeerPool(timeout time.Duration, dial func(addr string) (net.Conn, error)) *peerPool {
+	return &peerPool{timeout: timeout, dial: dial, idle: map[string][]*server.Client{}}
 }
 
 func (pp *peerPool) get(addr string) (*server.Client, error) {
@@ -177,10 +200,11 @@ func (pp *peerPool) get(addr string) (*server.Client, error) {
 		return c, nil
 	}
 	pp.mu.Unlock()
-	c, err := server.Dial(addr, pp.timeout)
+	conn, err := pp.dial(addr)
 	if err != nil {
 		return nil, err
 	}
+	c := server.NewClient(conn)
 	c.SetRequestDeadline(pp.timeout)
 	c.MarkForwarded()
 	return c, nil

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
+
+	"aisebmt/internal/mem"
 )
 
 // ChipState is the trusted, non-volatile on-chip state that survives a
@@ -42,12 +44,22 @@ func (s *SecureMemory) Hibernate(w io.Writer) (ChipState, error) {
 // tampering with it while the system was off is detected on first use by
 // verification against the restored root.
 func Resume(cfg Config, chip ChipState, r io.Reader) (*SecureMemory, error) {
+	img, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: resume: %w: %v", mem.ErrBadImage, err)
+	}
+	return ResumeImage(cfg, chip, img)
+}
+
+// ResumeImage is Resume over an image already in memory: the records are
+// decoded straight from img, which the controller does not retain.
+func ResumeImage(cfg Config, chip ChipState, img []byte) (*SecureMemory, error) {
 	cfg.GPCImage = nil // restored from chip state below
 	s, err := newController(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.mem.Deserialize(r); err != nil {
+	if err := s.mem.DeserializeBytes(img); err != nil {
 		return nil, fmt.Errorf("core: resume: %w", err)
 	}
 	s.gpc.Restore(chip.GPC)

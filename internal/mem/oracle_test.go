@@ -175,3 +175,48 @@ func (m *mapMemory) Deserialize(r io.Reader) error {
 	}
 	return nil
 }
+
+// deserializeReader is the per-record reader loop Memory.Deserialize ran
+// before the image decoder read straight from a byte slice: two
+// io.ReadFull calls per record through a bufio.Reader. It is the oracle
+// FuzzDeserialize holds DeserializeBytes to.
+func deserializeReader(m *Memory, r io.Reader) error {
+	br := bufio.NewReader(r)
+	var magic [8]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return fmt.Errorf("%w: missing header: %v", ErrBadImage, err)
+	}
+	if magic != memMagic {
+		return fmt.Errorf("%w: bad magic", ErrBadImage)
+	}
+	var hdr [16]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return fmt.Errorf("%w: truncated header: %v", ErrBadImage, err)
+	}
+	size := binary.LittleEndian.Uint64(hdr[0:8])
+	count := binary.LittleEndian.Uint64(hdr[8:16])
+	if size != m.size {
+		return fmt.Errorf("%w: image is for a %d-byte memory, this one is %d bytes", ErrBadImage, size, m.size)
+	}
+	if count > size/layout.BlockSize {
+		return fmt.Errorf("%w: block count %d exceeds capacity", ErrBadImage, count)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var ab [8]byte
+	for i := uint64(0); i < count; i++ {
+		if _, err := io.ReadFull(br, ab[:]); err != nil {
+			return fmt.Errorf("%w: truncated at block %d: %v", ErrBadImage, i, err)
+		}
+		a := layout.Addr(binary.LittleEndian.Uint64(ab[:]))
+		if uint64(a) >= m.size || a != a.BlockAddr() {
+			return fmt.Errorf("%w: bad block address %#x", ErrBadImage, a)
+		}
+		var blk Block
+		if _, err := io.ReadFull(br, blk[:]); err != nil {
+			return fmt.Errorf("%w: truncated block %d: %v", ErrBadImage, i, err)
+		}
+		*m.store(a) = blk
+	}
+	return nil
+}

@@ -50,24 +50,35 @@ func (m *Memory) Serialize(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Deserialize loads an image into this memory, which must have the same
-// size and be otherwise unused. Existing blocks are replaced. The blocks
-// are installed under one write lock: a direct store, not program traffic.
+// Deserialize reads an image from r to its end and loads it
+// (DeserializeBytes).
 func (m *Memory) Deserialize(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fmt.Errorf("%w: missing header: %v", ErrBadImage, err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("%w: read: %v", ErrBadImage, err)
 	}
-	if magic != memMagic {
+	return m.DeserializeBytes(b)
+}
+
+// DeserializeBytes loads the image in b into this memory, which must have
+// the same size and be otherwise unused. Existing blocks are replaced, and
+// bytes past the last record are ignored. Records are decoded straight
+// from b and installed under one write lock: a direct store, not program
+// traffic. A refused image leaves every whole record before the fault
+// installed.
+func (m *Memory) DeserializeBytes(b []byte) error {
+	const hdrLen, recLen = 24, 8 + layout.BlockSize
+	if len(b) < len(memMagic) {
+		return fmt.Errorf("%w: missing header", ErrBadImage)
+	}
+	if [8]byte(b[:8]) != memMagic {
 		return fmt.Errorf("%w: bad magic", ErrBadImage)
 	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return fmt.Errorf("%w: truncated header: %v", ErrBadImage, err)
+	if len(b) < hdrLen {
+		return fmt.Errorf("%w: truncated header", ErrBadImage)
 	}
-	size := binary.LittleEndian.Uint64(hdr[0:8])
-	count := binary.LittleEndian.Uint64(hdr[8:16])
+	size := binary.LittleEndian.Uint64(b[8:16])
+	count := binary.LittleEndian.Uint64(b[16:24])
 	if size != m.size {
 		return fmt.Errorf("%w: image is for a %d-byte memory, this one is %d bytes", ErrBadImage, size, m.size)
 	}
@@ -76,20 +87,19 @@ func (m *Memory) Deserialize(r io.Reader) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var ab [8]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, ab[:]); err != nil {
-			return fmt.Errorf("%w: truncated at block %d: %v", ErrBadImage, i, err)
+	rec := b[hdrLen:]
+	for i := uint64(0); i < count; i, rec = i+1, rec[recLen:] {
+		if len(rec) < 8 {
+			return fmt.Errorf("%w: truncated at block %d", ErrBadImage, i)
 		}
-		a := layout.Addr(binary.LittleEndian.Uint64(ab[:]))
+		a := layout.Addr(binary.LittleEndian.Uint64(rec))
 		if uint64(a) >= m.size || a != a.BlockAddr() {
 			return fmt.Errorf("%w: bad block address %#x", ErrBadImage, a)
 		}
-		var blk Block
-		if _, err := io.ReadFull(br, blk[:]); err != nil {
-			return fmt.Errorf("%w: truncated block %d: %v", ErrBadImage, i, err)
+		if len(rec) < recLen {
+			return fmt.Errorf("%w: truncated block %d", ErrBadImage, i)
 		}
-		*m.store(a) = blk
+		*m.store(a) = Block(rec[8:recLen])
 	}
 	return nil
 }

@@ -358,3 +358,16 @@ func (h *memHandle) Sync() error {
 }
 
 func (h *memHandle) Close() error { return nil }
+
+// clone returns an independent copy of the durable state, for running two
+// recoveries over the same post-crash disk. Call it after crash():
+// unsynced writes and directory operations are not copied.
+func (c *crashFS) clone() *crashFS {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := newCrashFS()
+	for name, f := range c.files {
+		out.files[name] = &memFile{data: append([]byte(nil), f.synced...), synced: append([]byte(nil), f.synced...)}
+	}
+	return out
+}

@@ -61,3 +61,11 @@ func AuxBarrierFrames(file []byte, shards int) [][2]int {
 	}
 	return out
 }
+
+// Clone returns an independent copy of the durable state.
+func (c *crashFS) Clone() *CrashFS { return c.clone() }
+
+// CheckAgainstSerial recovers two copies of cfs's durable state under
+// opts, one with Recover and one with the serial reference, and fails the
+// test unless they agree (recover_oracle_test.go).
+var CheckAgainstSerial = checkAgainstSerial

@@ -25,6 +25,7 @@ type storeMetrics struct {
 	failed     *obs.Gauge     // 1 once the store latched fail-closed
 	recoverDur *obs.Gauge     // last recovery duration
 	recoverRec *obs.Gauge     // WAL records replayed by last recovery
+	phases     [7]*obs.Gauge  // last recovery's phases, in phaseSeries order
 	repairDur  *obs.Histogram // per-attempt online repair duration
 }
 
@@ -32,7 +33,7 @@ type storeMetrics struct {
 func newStoreMetrics(svc *obs.Service) *storeMetrics {
 	reg := svc.Reg
 	lat := obs.LatencyBucketsUS()
-	return &storeMetrics{
+	m := &storeMetrics{
 		svc: svc,
 		ckptDur: reg.Histogram("secmemd_checkpoint_duration_us",
 			"Verified snapshot + WAL truncation duration, microseconds.", lat),
@@ -51,6 +52,24 @@ func newStoreMetrics(svc *obs.Service) *storeMetrics {
 		repairDur: reg.Histogram("secmemd_repair_duration_us",
 			"Online shard repair attempt duration, microseconds.", lat),
 	}
+	for i, ph := range phaseSeries(RecoveryPhases{}) {
+		m.phases[i] = reg.Gauge("secmemd_persist_recovery_phase_us",
+			"Wall-clock duration of one phase of the last crash recovery, microseconds (slowest_* are the slowest shard's share of rebuild).",
+			"phase", ph.label)
+	}
+	return m
+}
+
+// labelledPhase is one recovery phase under its gauge label.
+type labelledPhase struct {
+	label string
+	d     time.Duration
+}
+
+// phaseSeries lists p's phases in the order their gauges are registered.
+func phaseSeries(p RecoveryPhases) [7]labelledPhase {
+	return [7]labelledPhase{{"snapshot_read", p.SnapshotRead}, {"scan", p.Scan}, {"rebuild", p.Rebuild},
+		{"slowest_decode", p.SlowestDecode}, {"slowest_replay", p.SlowestReplay}, {"slowest_sweep", p.SlowestSweep}, {"reopen", p.Reopen}}
 }
 
 // commitStages deposits one group commit's stage costs in the Service
@@ -80,6 +99,9 @@ func (m *storeMetrics) observeRecovery(info RecoveryInfo) {
 	}
 	m.recoverDur.Set(info.Elapsed.Microseconds())
 	m.recoverRec.Set(int64(info.Replayed))
+	for i, ph := range phaseSeries(info.Phases) {
+		m.phases[i].Set(ph.d.Microseconds())
+	}
 	m.epoch.Set(int64(info.Epoch))
 }
 

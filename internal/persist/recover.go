@@ -1,10 +1,9 @@
 package persist
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"aisebmt/internal/core"
@@ -14,10 +13,11 @@ import (
 // Recover builds the store's pool from the data directory and arms the
 // durability machinery around it. On a fresh directory it creates the
 // pool, cuts the initial checkpoint (epoch 1) and returns. Otherwise it
-// verifies the sealed anchor, resumes the pool from the matching
-// snapshot, replays every shard's WAL against its sealed head, runs a
-// full integrity sweep so the Bonsai roots are re-verified before any
-// traffic, and only then installs the commit hook and background tasks.
+// verifies the sealed anchor, scans every shard's WAL against its sealed
+// head, and rebuilds every shard at once (restoreShard: resume its section
+// of the matching snapshot, replay its WAL, sweep it whole so its Bonsai
+// root is re-verified). Only once every shard has passed does it reopen
+// the logs, and only then install the commit hook and background tasks.
 //
 // Every trust violation fails closed: ErrTrustTampered for the sealed
 // files, ErrWALTampered for the log, ErrSnapshotTampered for snapshot
@@ -48,34 +48,25 @@ func (st *Store) Recover(cfg shard.Config) (*shard.Pool, RecoveryInfo, error) {
 	if err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("%w: snapshot for anchored epoch %d missing", ErrSnapshotTampered, anc.Epoch)
 	}
-	sEpoch, sShards, err := parseSnapHeader(snapB)
+	info := RecoveryInfo{Epoch: anc.Epoch, SnapshotBytes: int64(len(snapB))}
+	info.Phases.SnapshotRead = time.Since(start)
+	ccfg, imgs, err := snapshotSections(cfg, anc, snapB)
 	if err != nil {
-		return nil, RecoveryInfo{}, fmt.Errorf("%w: %v", ErrSnapshotTampered, err)
-	}
-	if sEpoch != anc.Epoch || int(sShards) != len(anc.Chips) {
-		return nil, RecoveryInfo{}, fmt.Errorf("%w: snapshot header (epoch %d, %d shards) does not match anchor (epoch %d, %d shards)",
-			ErrSnapshotTampered, sEpoch, sShards, anc.Epoch, len(anc.Chips))
-	}
-	pool, err := shard.Resume(cfg, anc.Chips, bytes.NewReader(snapB[snapHeaderLen:]))
-	if err != nil {
-		return nil, RecoveryInfo{}, fmt.Errorf("%w: resume: %v", ErrSnapshotTampered, err)
-	}
-	info := RecoveryInfo{Epoch: anc.Epoch, Shards: pool.Shards(), SnapshotBytes: int64(len(snapB))}
-	fail := func(err error) (*shard.Pool, RecoveryInfo, error) {
-		pool.Close()
 		return nil, RecoveryInfo{}, err
 	}
+	info.Shards = len(imgs)
 
-	st.initWriters(pool.Shards())
+	t0 := time.Now()
+	st.initWriters(len(imgs))
 	logs := make([]walLog, len(st.wals))
 	seqs := make([]uint64, len(st.wals))
 	for i, w := range st.wals {
 		hb, herr := st.fs.ReadFile(w.headPath)
 		if herr != nil {
-			return fail(fmt.Errorf("%w: WAL head for shard %d missing", ErrTrustTampered, i))
+			return nil, RecoveryInfo{}, fmt.Errorf("%w: WAL head for shard %d missing", ErrTrustTampered, i)
 		}
 		if logs[i], err = st.scanLog(w, hb, anc); err != nil {
-			return fail(err)
+			return nil, RecoveryInfo{}, err
 		}
 		if l := &logs[i]; l.validLen > 0 && l.validLen < int64(len(l.file)) && st.opts.Logf != nil {
 			st.opts.Logf("shard %d: truncating %d bytes of torn WAL tail", i, int64(len(l.file))-l.validLen)
@@ -87,7 +78,7 @@ func (st *Store) Recover(cfg shard.Config) (*shard.Pool, RecoveryInfo, error) {
 	var aux auxLog
 	if st.aux.enabled {
 		if aux, err = st.scanAux(anc, seqs); err != nil {
-			return fail(err)
+			return nil, RecoveryInfo{}, err
 		}
 		info.AuxCut = aux.cut
 		for i := range logs {
@@ -101,56 +92,53 @@ func (st *Store) Recover(cfg shard.Config) (*shard.Pool, RecoveryInfo, error) {
 			}
 		}
 	}
+	info.Phases.Scan = time.Since(t0)
 
-	// With the aux journal enabled, the replay also collects the structural
-	// events (swap-outs with their regenerated images, swap-ins, moves) the
-	// tenant layer needs to reconcile its journal against; see aux.go.
-	var auxEvents []AuxEvent
-	for i, w := range st.wals {
-		l := &logs[i]
-		for _, r := range l.recs {
-			op, cerr := recToOp(r)
-			if cerr != nil {
-				return fail(fmt.Errorf("%w: shard %d: %v", ErrWALTampered, i, cerr))
-			}
-			img, rerr := pool.ReplayOpImage(i, op)
-			if rerr != nil {
-				if errors.Is(rerr, core.ErrTampered) {
-					return fail(fmt.Errorf("%w: replay on shard %d: %v", ErrSnapshotTampered, i, rerr))
-				}
-				// The live run rejected this op the same deterministic way
-				// (bad range, stale slot, unsupported); reproduce and move on.
-				info.ReplaySkipped++
-			} else {
-				info.Replayed++
-				if st.aux.enabled && op.Kind != shard.MutWrite {
-					auxEvents = append(auxEvents, AuxEvent{
-						Shard: i, Kind: op.Kind, Addr: op.Addr, Virt: op.Virt, Slot: op.Slot, Img: img,
-					})
-				}
-			}
-		}
+	t0 = time.Now()
+	recs := make([][]walRec, len(logs))
+	for i, l := range logs {
+		recs[i] = l.recs
 		info.WALRecords += l.seq
 		info.WALBytes += l.validLen
+	}
+	pool, rebuilt, err := restorePool(cfg, ccfg, anc, imgs, recs)
+	if err != nil {
+		return nil, RecoveryInfo{}, err
+	}
+	info.Phases.Rebuild = time.Since(t0)
+	var auxEvents []AuxEvent
+	var slowest time.Duration
+	for _, r := range rebuilt {
+		info.Replayed += r.replayed
+		info.ReplaySkipped += r.skipped
+		auxEvents = append(auxEvents, r.events...)
+		if d := r.decode + r.replay + r.sweep; d > slowest {
+			slowest = d
+			info.Phases.SlowestDecode, info.Phases.SlowestReplay, info.Phases.SlowestSweep = r.decode, r.replay, r.sweep
+		}
+	}
+	fail := func(err error) (*shard.Pool, RecoveryInfo, error) {
+		pool.Close()
+		return nil, RecoveryInfo{}, err
+	}
+
+	// Only a pool whose every shard passed its sweep gets its logs reopened
+	// (cut to their valid length, synced, sealed).
+	t0 = time.Now()
+	for i, w := range st.wals {
 		w.mu.Lock()
-		err := st.resume(w, anc.Epoch, l, aux.shardMode)
+		err := st.resume(w, anc.Epoch, &logs[i], aux.shardMode)
 		w.mu.Unlock()
 		if err != nil {
 			return fail(fmt.Errorf("persist: shard %d WAL reopen: %w", i, err))
 		}
 	}
-
 	if st.aux.enabled {
 		if err := st.recoverAux(anc, &aux, auxEvents); err != nil {
 			return fail(err)
 		}
 	}
-
-	// Gate: a full verification sweep re-checks every shard against its
-	// restored root before the pool is handed out for traffic.
-	if err := pool.Verify(context.Background()); err != nil {
-		return fail(fmt.Errorf("%w: post-replay verify: %v", ErrSnapshotTampered, err))
-	}
+	info.Phases.Reopen = time.Since(t0)
 
 	st.ckptMu.Lock()
 	st.pool = pool
@@ -163,10 +151,108 @@ func (st *Store) Recover(cfg shard.Config) (*shard.Pool, RecoveryInfo, error) {
 	info.Elapsed = time.Since(start)
 	st.met.observeRecovery(info)
 	if st.opts.Logf != nil {
-		st.opts.Logf("recovered epoch %d: %d WAL records (%d applied, %d reproduced rejections) over a %s snapshot in %s",
-			info.Epoch, info.WALRecords, info.Replayed, info.ReplaySkipped, sizeString(info.SnapshotBytes), info.Elapsed.Round(time.Millisecond))
+		st.opts.Logf("recovered epoch %d: %d WAL records (%d applied, %d reproduced rejections) over a %s snapshot in %s, phases %+v",
+			info.Epoch, info.WALRecords, info.Replayed, info.ReplaySkipped, sizeString(info.SnapshotBytes), info.Elapsed.Round(time.Millisecond), info.Phases)
 	}
 	return pool, info, nil
+}
+
+// snapshotSections checks a snapshot against the anchor it is sealed
+// under and splits its body into per-shard images, in place. It also
+// returns the controller configuration the images resume under.
+func snapshotSections(cfg shard.Config, anc anchor, snap []byte) (core.Config, [][]byte, error) {
+	sEpoch, sShards, err := parseSnapHeader(snap)
+	if err != nil {
+		return core.Config{}, nil, fmt.Errorf("%w: %v", ErrSnapshotTampered, err)
+	}
+	if sEpoch != anc.Epoch || int(sShards) != len(anc.Chips) {
+		return core.Config{}, nil, fmt.Errorf("%w: snapshot header (epoch %d, %d shards) does not match anchor (epoch %d, %d shards)",
+			ErrSnapshotTampered, sEpoch, sShards, anc.Epoch, len(anc.Chips))
+	}
+	ccfg, imgs, err := shard.SplitImage(cfg, snap[snapHeaderLen:])
+	if err != nil {
+		return core.Config{}, nil, fmt.Errorf("%w: resume: %v", ErrSnapshotTampered, err)
+	}
+	return ccfg, imgs, nil
+}
+
+// restoredShard is one shard's controller as restoreShard rebuilt it.
+type restoredShard struct {
+	sm                    *core.SecureMemory
+	replayed, skipped     uint64
+	events                []AuxEvent // structural ops replayed
+	decode, replay, sweep time.Duration
+}
+
+// restoreShard rebuilds shard i's controller from durable state, the one
+// path recovery, repair and baseline import share: resume it from img
+// (its snapshot section) under the anchor's chip state, replay recs (its
+// WAL records past the snapshot) on the bare controller, and sweep it
+// whole against the restored root. Ops the live run rejected the same
+// deterministic way are reproduced and counted as skipped. The structural
+// ops replayed come back in replay order for the tenant layer (aux.go).
+func restoreShard(ccfg core.Config, anc anchor, i int, img []byte, recs []walRec) (restoredShard, error) {
+	var r restoredShard
+	t0 := time.Now()
+	sm, err := core.ResumeImage(ccfg, anc.Chips[i], img)
+	if err != nil {
+		return r, fmt.Errorf("%w: resume shard %d: %v", ErrSnapshotTampered, i, err)
+	}
+	t1 := time.Now()
+	for _, rec := range recs {
+		op, cerr := recToOp(rec)
+		if cerr != nil {
+			return r, fmt.Errorf("%w: shard %d: %v", ErrWALTampered, i, cerr)
+		}
+		pimg, rerr := shard.ApplyOpImage(sm, op)
+		switch {
+		case errors.Is(rerr, core.ErrTampered):
+			return r, fmt.Errorf("%w: replay on shard %d: %v", ErrSnapshotTampered, i, rerr)
+		case rerr != nil:
+			r.skipped++
+		default:
+			r.replayed++
+			if op.Kind != shard.MutWrite {
+				r.events = append(r.events, AuxEvent{Shard: i, Kind: op.Kind, Addr: op.Addr, Virt: op.Virt, Slot: op.Slot, Img: pimg})
+			}
+		}
+	}
+	t2 := time.Now()
+	if err := sm.VerifyAll(); err != nil {
+		return r, fmt.Errorf("%w: post-replay verify on shard %d: %v", ErrSnapshotTampered, i, err)
+	}
+	r.sm, r.decode, r.replay, r.sweep = sm, t1.Sub(t0), t2.Sub(t1), time.Since(t2)
+	return r, nil
+}
+
+// restorePool runs restoreShard for every shard at once, one goroutine
+// per shard (recs[i] is shard i's records), and once all have finished
+// assembles the pool. It returns the per-shard results in shard order, or
+// the lowest-numbered shard's error.
+func restorePool(cfg shard.Config, ccfg core.Config, anc anchor, imgs [][]byte, recs [][]walRec) (*shard.Pool, []restoredShard, error) {
+	out := make([]restoredShard, len(imgs))
+	errs := make([]error, len(imgs))
+	var wg sync.WaitGroup
+	for i := range imgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = restoreShard(ccfg, anc, i, imgs[i], recs[i])
+		}()
+	}
+	wg.Wait()
+	sms := make([]*core.SecureMemory, len(out))
+	for i, r := range out {
+		if errs[i] != nil {
+			return nil, nil, errs[i]
+		}
+		sms[i] = r.sm
+	}
+	pool, err := shard.Assemble(cfg, sms)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: resume: %v", ErrSnapshotTampered, err)
+	}
+	return pool, out, nil
 }
 
 // recoverFresh initializes an empty data directory. Leftover layer files

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -91,21 +90,9 @@ func (st *Store) rebuildShard(pool *shard.Pool, i int, epoch uint64) (*core.Secu
 	if err != nil {
 		return nil, fmt.Errorf("%w: snapshot for epoch %d unreadable during repair: %v", ErrSnapshotTampered, anc.Epoch, err)
 	}
-	sEpoch, sShards, err := parseSnapHeader(snapB)
+	ccfg, imgs, err := snapshotSections(pool.Config(), anc, snapB)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotTampered, err)
-	}
-	if sEpoch != anc.Epoch || int(sShards) != len(anc.Chips) {
-		return nil, fmt.Errorf("%w: snapshot header (epoch %d, %d shards) does not match anchor (epoch %d, %d shards)",
-			ErrSnapshotTampered, sEpoch, sShards, anc.Epoch, len(anc.Chips))
-	}
-	img, err := shard.ExtractShardImage(snapB[snapHeaderLen:], i)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotTampered, err)
-	}
-	sm, err := core.Resume(pool.ShardCoreConfig(), anc.Chips[i], bytes.NewReader(img))
-	if err != nil {
-		return nil, fmt.Errorf("%w: resume shard %d: %v", ErrSnapshotTampered, i, err)
+		return nil, err
 	}
 
 	// Under tenant-journal barriers a shard head may only be sealed within
@@ -116,14 +103,14 @@ func (st *Store) rebuildShard(pool *shard.Pool, i int, epoch uint64) (*core.Secu
 		mode = resumeSync
 	}
 
-	// Replay the shard's log over the snapshot and re-prime the writer,
-	// under its lock so the flusher cannot interleave. Same tolerance
-	// rules as recovery: a torn tail beyond the sealed head is truncated,
-	// any chain violation fails the repair, deterministic op rejections
-	// are reproduced, and records durable beyond the head (synced but
-	// crashed or faulted before sealing) are replayed — a write that was
-	// failed to its client may still be applied, which is the usual
-	// indeterminacy of a failed write, never loss of an acknowledged one.
+	// Rebuild the shard over its log and re-prime the writer, under its
+	// lock so the flusher cannot interleave. Same path and tolerance rules
+	// as recovery: a torn tail beyond the sealed head is truncated, any
+	// chain violation fails the repair, deterministic op rejections are
+	// reproduced, and records durable beyond the head (synced but crashed
+	// or faulted before sealing) are replayed — a write that was failed to
+	// its client may still be applied, which is the usual indeterminacy of
+	// a failed write, never loss of an acknowledged one.
 	w := st.wals[i]
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -135,24 +122,9 @@ func (st *Store) rebuildShard(pool *shard.Pool, i int, epoch uint64) (*core.Secu
 	if err != nil {
 		return nil, err
 	}
-	replayed := 0
-	for _, r := range l.recs {
-		op, cerr := recToOp(r)
-		if cerr != nil {
-			return nil, fmt.Errorf("%w: shard %d: %v", ErrWALTampered, i, cerr)
-		}
-		if aerr := shard.ApplyOp(sm, op); aerr != nil {
-			if errors.Is(aerr, core.ErrTampered) {
-				return nil, fmt.Errorf("%w: repair replay on shard %d: %v", ErrSnapshotTampered, i, aerr)
-			}
-			// Deterministic rejection the live run also produced; reproduce
-			// and move on, exactly like crash recovery.
-			continue
-		}
-		replayed++
-	}
-	if err := sm.VerifyAll(); err != nil {
-		return nil, fmt.Errorf("%w: post-repair verify on shard %d: %v", ErrSnapshotTampered, i, err)
+	r, err := restoreShard(ccfg, anc, i, imgs[i], l.recs)
+	if err != nil {
+		return nil, err
 	}
 
 	// The rebuilt controller is good; re-prime the writer to continue the
@@ -161,9 +133,9 @@ func (st *Store) rebuildShard(pool *shard.Pool, i int, epoch uint64) (*core.Secu
 		return nil, fmt.Errorf("persist: shard %d WAL reopen during repair: %w", i, err)
 	}
 	if st.opts.Logf != nil {
-		st.opts.Logf("shard %d rebuilt: %d WAL records replayed over epoch-%d snapshot, subtree re-verified", i, replayed, anc.Epoch)
+		st.opts.Logf("shard %d rebuilt: %d WAL records replayed over epoch-%d snapshot, subtree re-verified", i, r.replayed, anc.Epoch)
 	}
-	return sm, nil
+	return r.sm, nil
 }
 
 // repairLoop is the background repair monitor: it reacts to fault

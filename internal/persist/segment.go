@@ -14,8 +14,6 @@ package persist
 // replayed stream is rejected even if the transport is compromised.
 
 import (
-	"bytes"
-	"context"
 	"crypto/hmac"
 	"encoding/binary"
 	"errors"
@@ -23,7 +21,6 @@ import (
 	"hash/crc32"
 	"time"
 
-	"aisebmt/internal/core"
 	"aisebmt/internal/shard"
 )
 
@@ -417,53 +414,34 @@ func ImportBaseline(processorKey []byte, cfg shard.Config, b *Baseline) (*shard.
 	if anc.Epoch != b.Epoch {
 		return nil, nil, fmt.Errorf("%w: baseline epoch %d does not match anchor epoch %d", ErrTrustTampered, b.Epoch, anc.Epoch)
 	}
-	sEpoch, sShards, err := parseSnapHeader(b.Snapshot)
+	if len(b.Shards) != len(anc.Chips) {
+		return nil, nil, fmt.Errorf("%w: baseline has %d WALs, anchor %d shards", ErrSnapshotTampered, len(b.Shards), len(anc.Chips))
+	}
+	ccfg, imgs, err := snapshotSections(cfg, anc, b.Snapshot)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotTampered, err)
-	}
-	if sEpoch != anc.Epoch || int(sShards) != len(anc.Chips) || len(b.Shards) != len(anc.Chips) {
-		return nil, nil, fmt.Errorf("%w: baseline shape (epoch %d, %d shards, %d WALs) does not match anchor (epoch %d, %d shards)",
-			ErrSnapshotTampered, sEpoch, sShards, len(b.Shards), anc.Epoch, len(anc.Chips))
-	}
-	pool, err := shard.Resume(cfg, anc.Chips, bytes.NewReader(b.Snapshot[snapHeaderLen:]))
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: resume: %v", ErrSnapshotTampered, err)
-	}
-	fail := func(err error) (*shard.Pool, []*SegmentCursor, error) {
-		pool.Close()
 		return nil, nil, err
 	}
+	recs := make([][]walRec, len(b.Shards))
 	cursors := make([]*SegmentCursor, len(b.Shards))
 	for i, sh := range b.Shards {
 		head := walHead{Epoch: anc.Epoch, Shard: uint32(i), Seq: sh.Seq, Chain: sh.Chain}
-		recs, seq, chain, validLen, serr := scanWAL(key, dataKey, sh.WAL, head)
+		r, seq, chain, validLen, serr := scanWAL(key, dataKey, sh.WAL, head)
 		if serr != nil {
-			return fail(serr)
+			return nil, nil, serr
 		}
 		// The exporter captured the log under its writer lock, so the bytes
 		// end exactly at the claimed position; a live log may run ahead of
 		// its durable head, but a baseline must not.
 		if seq != sh.Seq || validLen != int64(len(sh.WAL)) {
-			return fail(fmt.Errorf("%w: baseline shard %d WAL ends at seq %d (%d of %d bytes valid), claimed %d",
-				ErrWALTampered, i, seq, validLen, len(sh.WAL), sh.Seq))
+			return nil, nil, fmt.Errorf("%w: baseline shard %d WAL ends at seq %d (%d of %d bytes valid), claimed %d",
+				ErrWALTampered, i, seq, validLen, len(sh.WAL), sh.Seq)
 		}
-		for _, r := range recs {
-			op, cerr := recToOp(r)
-			if cerr != nil {
-				return fail(fmt.Errorf("%w: baseline shard %d: %v", ErrWALTampered, i, cerr))
-			}
-			if rerr := pool.ReplayOp(i, op); rerr != nil {
-				if errors.Is(rerr, core.ErrTampered) {
-					return fail(fmt.Errorf("%w: baseline replay on shard %d: %v", ErrSnapshotTampered, i, rerr))
-				}
-				// Deterministic rejection the owner reproduced too; skip.
-				continue
-			}
-		}
+		recs[i] = r
 		cursors[i] = &SegmentCursor{key: key, dataKey: dataKey, Epoch: anc.Epoch, Shard: uint32(i), Seq: seq, Chain: chain}
 	}
-	if err := pool.Verify(context.Background()); err != nil {
-		return fail(fmt.Errorf("%w: baseline post-replay verify: %v", ErrSnapshotTampered, err))
+	pool, _, err := restorePool(cfg, ccfg, anc, imgs, recs)
+	if err != nil {
+		return nil, nil, err
 	}
 	return pool, cursors, nil
 }

@@ -52,7 +52,7 @@ func applyAll(t *testing.T, pool *shard.Pool, cursors []*SegmentCursor, segs []*
 			t.Fatalf("apply segment (shard %d, seq %d..%d): %v", s.Shard, s.FromSeq, s.ToSeq, err)
 		}
 		for _, op := range ops {
-			if err := pool.ReplayOp(int(s.Shard), op); err != nil {
+			if _, err := pool.ReplayOp(int(s.Shard), op); err != nil {
 				t.Fatalf("replay op on shard %d: %v", s.Shard, err)
 			}
 		}

@@ -114,16 +114,30 @@ type Options struct {
 
 // RecoveryInfo reports what Recover found and did.
 type RecoveryInfo struct {
-	Fresh         bool          `json:"fresh"`
-	Epoch         uint64        `json:"epoch"`
-	Shards        int           `json:"shards"`
-	SnapshotBytes int64         `json:"snapshot_bytes"`
-	WALBytes      int64         `json:"wal_bytes"`
-	WALRecords    uint64        `json:"wal_records"`
-	Replayed      uint64        `json:"replayed"`
-	ReplaySkipped uint64        `json:"replay_skipped"`
-	AuxCut        uint64        `json:"aux_cut"` // tenant journal records cut at a barrier (aux.go)
-	Elapsed       time.Duration `json:"elapsed_ns"`
+	Fresh         bool           `json:"fresh"`
+	Epoch         uint64         `json:"epoch"`
+	Shards        int            `json:"shards"`
+	SnapshotBytes int64          `json:"snapshot_bytes"`
+	WALBytes      int64          `json:"wal_bytes"`
+	WALRecords    uint64         `json:"wal_records"`
+	Replayed      uint64         `json:"replayed"`
+	ReplaySkipped uint64         `json:"replay_skipped"`
+	AuxCut        uint64         `json:"aux_cut"` // tenant journal records cut at a barrier (aux.go)
+	Elapsed       time.Duration  `json:"elapsed_ns"`
+	Phases        RecoveryPhases `json:"phases"`
+}
+
+// RecoveryPhases is the wall-clock time of each phase of a recovery from
+// an anchored directory, in the order they run (all zero on a fresh one).
+type RecoveryPhases struct {
+	SnapshotRead time.Duration `json:"snapshot_read_ns"` // anchor and snapshot read
+	Scan         time.Duration `json:"scan_ns"`          // every WAL and the tenant journal verified, barrier caps applied
+	Rebuild      time.Duration `json:"rebuild_ns"`       // every shard decoded, replayed and swept, concurrently
+	// The slowest shard's share of Rebuild.
+	SlowestDecode time.Duration `json:"slowest_decode_ns"`
+	SlowestReplay time.Duration `json:"slowest_replay_ns"`
+	SlowestSweep  time.Duration `json:"slowest_sweep_ns"`
+	Reopen        time.Duration `json:"reopen_ns"` // WAL writers and tenant journal reopened
 }
 
 // ErrClosed is returned by operations on a closed store.

@@ -32,7 +32,13 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}, nil
+	return NewClient(conn), nil
+}
+
+// NewClient speaks the wire protocol over an already-open connection (one
+// a caller dialed its own way) and takes ownership of it.
+func NewClient(conn net.Conn) *Client {
+	return &Client{conn: conn, bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}
 }
 
 // Close closes the connection.

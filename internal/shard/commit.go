@@ -8,7 +8,7 @@ import (
 )
 
 // MutKind enumerates the mutating operations a pool reports to its
-// CommitHook and accepts back through ReplayOp.
+// CommitHook and accepts back through ReplayOp and ApplyOpImage.
 type MutKind uint8
 
 // Mutating operation kinds.
@@ -78,27 +78,14 @@ type hookRef struct{ h CommitHook }
 func (p *Pool) Shards() int { return len(p.shards) }
 
 // ReplayOp applies one mutating operation directly to a shard's
-// controller, bypassing the queue and the commit hook. It is the recovery
-// counterpart to CommitHook: a durability layer feeds logged operations
-// back through it, in their logged order, to rebuild post-snapshot state.
-// Errors that the live execution would also have produced (bad range,
-// unsupported op, stale slot) are returned for the caller to classify;
-// integrity failures surface as core.ErrTampered.
-func (p *Pool) ReplayOp(shard int, op MutOp) error {
-	if shard < 0 || shard >= len(p.shards) {
-		return fmt.Errorf("shard: replay: shard %d out of range [0,%d)", shard, len(p.shards))
-	}
-	sh := p.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return ApplyOp(sh.sm, op)
-}
-
-// ReplayOpImage is ReplayOp for recovery paths that must observe the
-// regenerated swap image of a replayed MutSwapOut: live execution handed
-// that image to the swap device, and a recovery that rebuilds the swap
-// device needs it again. Non-swapout ops return a nil image.
-func (p *Pool) ReplayOpImage(shard int, op MutOp) (*core.PageImage, error) {
+// controller, bypassing the queue and the commit hook. It is the replay
+// counterpart to CommitHook: a standby feeds shipped operations back
+// through it, in their logged order, to follow its owner. Errors that the
+// live execution would also have produced (bad range, unsupported op,
+// stale slot) are returned for the caller to classify; integrity failures
+// surface as core.ErrTampered. A replayed MutSwapOut returns the swap
+// image it regenerates (see ApplyOpImage).
+func (p *Pool) ReplayOp(shard int, op MutOp) (*core.PageImage, error) {
 	if shard < 0 || shard >= len(p.shards) {
 		return nil, fmt.Errorf("shard: replay: shard %d out of range [0,%d)", shard, len(p.shards))
 	}
@@ -108,17 +95,13 @@ func (p *Pool) ReplayOpImage(shard int, op MutOp) (*core.PageImage, error) {
 	return ApplyOpImage(sh.sm, op)
 }
 
-// ApplyOp applies one mutating operation to a bare controller — the
-// replay primitive shared by recovery (via ReplayOp) and online shard
-// repair, which rebuilds a quarantined shard's controller off to the side
-// before adopting it into the pool.
-func ApplyOp(sm *core.SecureMemory, op MutOp) error {
-	_, err := ApplyOpImage(sm, op)
-	return err
-}
-
-// ApplyOpImage is ApplyOp exposing the swap image a replayed MutSwapOut
-// regenerates from chip state (nil for every other kind).
+// ApplyOpImage applies one mutating operation to a bare controller — the
+// replay primitive shared by ReplayOp and by the durability layer, which
+// rebuilds a shard's controller off to the side (crash recovery, online
+// repair, baseline import) before a pool adopts it. A replayed MutSwapOut
+// returns the swap image it regenerates from chip state: live execution
+// handed that image to the swap device, and a recovery that rebuilds the
+// swap device needs it again. Every other kind returns a nil image.
 func ApplyOpImage(sm *core.SecureMemory, op MutOp) (*core.PageImage, error) {
 	switch op.Kind {
 	case MutWrite:

@@ -188,7 +188,7 @@ func TestReplayOpRebuildsState(t *testing.T) {
 	h.mu.Lock()
 	for sh, ops := range h.ops {
 		for _, op := range ops {
-			if err := clone.ReplayOp(sh, op); err != nil {
+			if _, err := clone.ReplayOp(sh, op); err != nil {
 				t.Fatalf("ReplayOp(%d, %+v): %v", sh, op, err)
 			}
 		}
@@ -216,10 +216,10 @@ func TestReplayOpRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if err := pool.ReplayOp(99, MutOp{Kind: MutWrite}); err == nil {
+	if _, err := pool.ReplayOp(99, MutOp{Kind: MutWrite}); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
-	if err := pool.ReplayOp(0, MutOp{Kind: MutKind(200)}); err == nil {
+	if _, err := pool.ReplayOp(0, MutOp{Kind: MutKind(200)}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }

@@ -79,35 +79,37 @@ func (p *Pool) Checkpoint(w io.Writer, commit func(chips []core.ChipState) error
 	return chips, nil
 }
 
-// ExtractShardImage picks one shard's memory image out of a hibernation
-// stream without materializing the others — how a repairer re-reads a
-// single fault domain from a pool-wide snapshot. The stream is untrusted;
-// the caller must verify the resumed controller against its sealed chip
-// state before trusting the result.
-func ExtractShardImage(b []byte, shardIdx int) ([]byte, error) {
+// SplitImage validates cfg and splits a hibernation stream of a pool of
+// cfg's shape into its per-shard memory images, in place: each image is a
+// sub-slice of b. It also returns the controller configuration each image
+// resumes under. The stream is untrusted; only its framing is checked
+// here, and the caller must verify each resumed controller against its
+// sealed chip state before trusting it.
+func SplitImage(cfg Config, b []byte) (core.Config, [][]byte, error) {
+	cfg, ccfg, err := cfg.resolve()
+	if err != nil {
+		return core.Config{}, nil, err
+	}
 	if len(b) < 12 || [8]byte(b[:8]) != hibMagic {
-		return nil, fmt.Errorf("shard: extract: bad hibernation header")
+		return core.Config{}, nil, fmt.Errorf("shard: image: bad hibernation header")
 	}
-	n := int(binary.LittleEndian.Uint32(b[8:12]))
-	if shardIdx < 0 || shardIdx >= n {
-		return nil, fmt.Errorf("shard: extract: shard %d out of range [0,%d)", shardIdx, n)
+	if n := int(binary.LittleEndian.Uint32(b[8:12])); n != cfg.Shards {
+		return core.Config{}, nil, fmt.Errorf("shard: image has %d shards, config has %d", n, cfg.Shards)
 	}
-	off := 12
-	for i := 0; i < n; i++ {
-		if len(b)-off < 8 {
-			return nil, fmt.Errorf("shard: extract: truncated stream at shard %d", i)
+	imgs := make([][]byte, cfg.Shards)
+	b = b[12:]
+	for i := range imgs {
+		if len(b) < 8 {
+			return core.Config{}, nil, fmt.Errorf("shard %d: image: truncated length", i)
 		}
-		imgLen := binary.LittleEndian.Uint64(b[off : off+8])
-		off += 8
-		if uint64(len(b)-off) < imgLen {
-			return nil, fmt.Errorf("shard: extract: truncated image for shard %d", i)
+		n := binary.LittleEndian.Uint64(b)
+		b = b[8:]
+		if uint64(len(b)) < n {
+			return core.Config{}, nil, fmt.Errorf("shard %d: image: truncated", i)
 		}
-		if i == shardIdx {
-			return b[off : off+int(imgLen)], nil
-		}
-		off += int(imgLen)
+		imgs[i], b = b[:n:n], b[n:]
 	}
-	return nil, fmt.Errorf("shard: extract: shard %d not found", shardIdx)
+	return ccfg, imgs, nil
 }
 
 // Resume reconstructs a pool from a hibernation stream and the trusted
@@ -115,50 +117,22 @@ func ExtractShardImage(b []byte, shardIdx int) ([]byte, error) {
 // stream is untrusted, so offline tampering is detected on first use by
 // verification against the restored per-shard roots.
 func Resume(cfg Config, chips []core.ChipState, r io.Reader) (*Pool, error) {
-	// Build an empty pool first (validates and defaults cfg), then replace
-	// each shard's controller with the resumed one.
-	p, err := New(cfg)
+	b, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: resume: %w", err)
 	}
-	if len(chips) != len(p.shards) {
-		p.Close()
-		return nil, fmt.Errorf("shard: resume: %d chip states for %d shards", len(chips), len(p.shards))
+	ccfg, imgs, err := SplitImage(cfg, b)
+	if err != nil {
+		return nil, fmt.Errorf("shard: resume: %w", err)
 	}
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		p.Close()
-		return nil, fmt.Errorf("shard: resume: missing header: %w", err)
+	if len(chips) != len(imgs) {
+		return nil, fmt.Errorf("shard: resume: %d chip states for %d shards", len(chips), len(imgs))
 	}
-	if magic != hibMagic {
-		p.Close()
-		return nil, fmt.Errorf("shard: resume: bad magic")
-	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		p.Close()
-		return nil, fmt.Errorf("shard: resume: truncated shard count: %w", err)
-	}
-	if int(n) != len(p.shards) {
-		p.Close()
-		return nil, fmt.Errorf("shard: resume: image has %d shards, config has %d", n, len(p.shards))
-	}
-	ccfg := p.cfg.Core
-	ccfg.DataBytes = p.perShardBytes
-	for i, sh := range p.shards {
-		var imgLen uint64
-		if err := binary.Read(r, binary.LittleEndian, &imgLen); err != nil {
-			p.Close()
-			return nil, fmt.Errorf("shard %d: resume: truncated image length: %w", i, err)
-		}
-		sm, err := core.Resume(ccfg, chips[i], io.LimitReader(r, int64(imgLen)))
-		if err != nil {
-			p.Close()
+	sms := make([]*core.SecureMemory, len(imgs))
+	for i, img := range imgs {
+		if sms[i], err = core.ResumeImage(ccfg, chips[i], img); err != nil {
 			return nil, fmt.Errorf("shard %d: resume: %w", i, err)
 		}
-		sh.mu.Lock()
-		sh.sm = sm
-		sh.mu.Unlock()
 	}
-	return p, nil
+	return Assemble(cfg, sms)
 }

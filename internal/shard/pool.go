@@ -144,6 +144,55 @@ type result struct {
 
 // New builds the pool and starts one worker per shard.
 func New(cfg Config) (*Pool, error) {
+	cfg, ccfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	sms := make([]*core.SecureMemory, cfg.Shards)
+	for i := range sms {
+		if sms[i], err = core.New(ccfg); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return Assemble(cfg, sms)
+}
+
+// Assemble builds a pool around controllers that already exist, one per
+// shard in shard order, each built under the controller configuration
+// SplitImage returns for cfg (typically resumed from a snapshot image and
+// verified), and starts their workers.
+func Assemble(cfg Config, sms []*core.SecureMemory) (*Pool, error) {
+	cfg, _, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if len(sms) != cfg.Shards {
+		return nil, fmt.Errorf("shard: %d controllers for %d shards", len(sms), cfg.Shards)
+	}
+	p := &Pool{
+		cfg:           cfg,
+		perShardBytes: cfg.Core.DataBytes / uint64(cfg.Shards),
+		faults:        make(chan Fault, 32),
+	}
+	for _, sm := range sms {
+		p.shards = append(p.shards, &shard{
+			sm:   sm,
+			reqs: make(chan *request, cfg.QueueDepth),
+			done: make(chan struct{}),
+		})
+	}
+	if cfg.Obs != nil {
+		p.met = newPoolMetrics(cfg.Obs, p)
+	}
+	for i, sh := range p.shards {
+		go p.worker(i, sh)
+	}
+	return p, nil
+}
+
+// resolve fills in cfg's defaults, validates it, and returns it with the
+// controller configuration of one shard.
+func (cfg Config) resolve() (Config, core.Config, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = DefaultShards
 	}
@@ -154,38 +203,15 @@ func New(cfg Config) (*Pool, error) {
 		cfg.BatchMax = DefaultBatchMax
 	}
 	if cfg.Shards < 1 || cfg.QueueDepth < 1 || cfg.BatchMax < 1 {
-		return nil, fmt.Errorf("shard: Shards, QueueDepth and BatchMax must be positive")
+		return cfg, core.Config{}, fmt.Errorf("shard: Shards, QueueDepth and BatchMax must be positive")
 	}
 	stride := uint64(cfg.Shards) * layout.PageSize
 	if cfg.Core.DataBytes == 0 || cfg.Core.DataBytes%stride != 0 {
-		return nil, fmt.Errorf("shard: DataBytes %d must be a positive multiple of Shards*PageSize (%d)", cfg.Core.DataBytes, stride)
+		return cfg, core.Config{}, fmt.Errorf("shard: DataBytes %d must be a positive multiple of Shards*PageSize (%d)", cfg.Core.DataBytes, stride)
 	}
-	p := &Pool{
-		cfg:           cfg,
-		perShardBytes: cfg.Core.DataBytes / uint64(cfg.Shards),
-		faults:        make(chan Fault, 32),
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		ccfg := cfg.Core
-		ccfg.DataBytes = p.perShardBytes
-		sm, err := core.New(ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		sh := &shard{
-			sm:   sm,
-			reqs: make(chan *request, cfg.QueueDepth),
-			done: make(chan struct{}),
-		}
-		p.shards = append(p.shards, sh)
-	}
-	if cfg.Obs != nil {
-		p.met = newPoolMetrics(cfg.Obs, p)
-	}
-	for i, sh := range p.shards {
-		go p.worker(i, sh)
-	}
-	return p, nil
+	ccfg := cfg.Core
+	ccfg.DataBytes /= uint64(cfg.Shards)
+	return cfg, ccfg, nil
 }
 
 // Config returns the pool's (defaulted) configuration.

@@ -455,12 +455,3 @@ func (p *Pool) UntrustedMemory(i int) *mem.Memory {
 	defer sh.mu.Unlock()
 	return sh.sm.Memory()
 }
-
-// ShardCoreConfig returns the per-shard controller configuration (the
-// pool config with DataBytes scaled down to one shard's slice) — what a
-// repairer needs to rebuild a controller from a snapshot image.
-func (p *Pool) ShardCoreConfig() core.Config {
-	ccfg := p.cfg.Core
-	ccfg.DataBytes = p.perShardBytes
-	return ccfg
-}

@@ -350,12 +350,16 @@ func TestAdoptShardSwapsController(t *testing.T) {
 
 	// Build a replacement controller (fresh, then replay the write) and
 	// verify it before adoption, as a real repairer would.
-	sm, err := core.New(p.ShardCoreConfig())
+	_, ccfg, err := p.Config().resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := core.New(ccfg)
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	if err := ApplyOp(sm, MutOp{Kind: MutWrite, Addr: 0, Data: []byte("original")}); err != nil {
-		t.Fatalf("ApplyOp: %v", err)
+	if _, err := ApplyOpImage(sm, MutOp{Kind: MutWrite, Addr: 0, Data: []byte("original")}); err != nil {
+		t.Fatalf("ApplyOpImage: %v", err)
 	}
 	if err := sm.VerifyAll(); err != nil {
 		t.Fatalf("VerifyAll: %v", err)
