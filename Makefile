@@ -12,10 +12,12 @@
 #   make fuzz            a short fuzz session on the wire codec
 #   make fuzz-smoke      brief fuzz pass over every decoder that parses
 #                        untrusted bytes (wire, WAL record, sealed anchor,
-#                        counter block, tenant journal restore, memory
-#                        image against its per-record reader), the
-#                        controller's byte-granular span path, the
-#                        untrusted-memory model against its map oracle,
+#                        counter block, tenant journal restore, the chunked
+#                        memory image decoder against its per-record
+#                        reader, the snapshot framing walk against the
+#                        byte-slice walk it replaced), the controller's
+#                        byte-granular span path, the untrusted-memory
+#                        model against its map oracle,
 #                        the controller's AES/HMAC engines against the
 #                        from-scratch ciphers and the tree's sweep walk
 #                        against the full walk; CI runs this after check
@@ -87,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run=none -fuzz=FuzzRestore -fuzztime=5s ./internal/tenant/journal/
 	$(GO) test -run=none -fuzz=FuzzMemoryOps -fuzztime=5s ./internal/mem/
 	$(GO) test -run=none -fuzz=FuzzDeserialize -fuzztime=5s ./internal/mem/
+	$(GO) test -run=none -fuzz=FuzzSnapshotSections -fuzztime=5s ./internal/shard/
 
 chaos: build
 	$(GO) run ./cmd/chaos -rounds 3

@@ -144,6 +144,8 @@ func (c *FaultFS) OpenFile(name string) (persist.File, error) {
 
 func (c *FaultFS) ReadFile(name string) ([]byte, error) { return c.base.ReadFile(name) }
 
+func (c *FaultFS) Open(name string) (persist.ReadOnlyFile, int64, error) { return c.base.Open(name) }
+
 func (c *FaultFS) Rename(oldname, newname string) error {
 	if c.roll(newname, false) != vOK {
 		return ErrInjected

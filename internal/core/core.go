@@ -236,6 +236,13 @@ type SecureMemory struct {
 var (
 	// ErrTampered wraps integrity violations (errors.Is matches it).
 	ErrTampered = errors.New("core: integrity verification failed")
+	// ErrImageMismatch is SwapIn's refusal of a page image whose counter
+	// block does not match the page root in its (tree-verified) directory
+	// slot: a stale or forged image, refused before any of it becomes
+	// reachable and the frame left empty. It is a property of the image,
+	// not of memory, so the same image is refused the same way on replay.
+	// errors.Is(err, ErrTampered) holds for it.
+	ErrImageMismatch = fmt.Errorf("%w: swap image does not match its page root", ErrTampered)
 	// ErrUnsupported reports an operation the configured scheme cannot
 	// perform (the paper's qualitative incompatibilities).
 	ErrUnsupported = errors.New("core: operation unsupported by configured scheme")

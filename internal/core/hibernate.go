@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-
-	"aisebmt/internal/mem"
 )
 
 // ChipState is the trusted, non-volatile on-chip state that survives a
@@ -27,39 +25,41 @@ type ChipState struct {
 // memory is serialized, so the image always matches the root it is sealed
 // against. (Checkpointing goes through here, so snapshot seals inherit the
 // invariant.)
-func (s *SecureMemory) Hibernate(w io.Writer) (ChipState, error) {
+func (s *SecureMemory) Hibernate(w io.Writer) (ChipState, error) { return s.hibernate(w, false) }
+
+// HibernateSection is Hibernate with the image written as one
+// length-prefixed section (mem.SerializeSection), the unit a pool
+// checkpoint streams per shard.
+func (s *SecureMemory) HibernateSection(w io.Writer) (ChipState, error) { return s.hibernate(w, true) }
+
+func (s *SecureMemory) hibernate(w io.Writer, section bool) (ChipState, error) {
 	if err := s.treeBarrier(); err != nil {
 		return ChipState{}, fmt.Errorf("core: hibernate: %w", err)
 	}
 	s.FlushTreeNodes()
-	if err := s.mem.Serialize(w); err != nil {
+	serialize := s.mem.Serialize
+	if section {
+		serialize = s.mem.SerializeSection
+	}
+	if err := serialize(w); err != nil {
 		return ChipState{}, fmt.Errorf("core: hibernate: %w", err)
 	}
 	return ChipState{GPC: s.gpc.Save(), Root: s.Root()}, nil
 }
 
-// Resume reconstructs a controller from a hibernation image and the trusted
-// chip state. cfg must match the hibernated controller's configuration (the
-// same key, schemes, sizes); the memory image is untrusted, so any
-// tampering with it while the system was off is detected on first use by
-// verification against the restored root.
+// Resume reconstructs a controller from a hibernation image read from r
+// and the trusted chip state. cfg must match the hibernated controller's
+// configuration (the same key, schemes, sizes); the memory image is
+// untrusted, so any tampering with it while the system was off is
+// detected on first use by verification against the restored root. The
+// image is decoded as it is read (mem.Deserialize), never held whole.
 func Resume(cfg Config, chip ChipState, r io.Reader) (*SecureMemory, error) {
-	img, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: resume: %w: %v", mem.ErrBadImage, err)
-	}
-	return ResumeImage(cfg, chip, img)
-}
-
-// ResumeImage is Resume over an image already in memory: the records are
-// decoded straight from img, which the controller does not retain.
-func ResumeImage(cfg Config, chip ChipState, img []byte) (*SecureMemory, error) {
 	cfg.GPCImage = nil // restored from chip state below
 	s, err := newController(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.mem.DeserializeBytes(img); err != nil {
+	if err := s.mem.Deserialize(r); err != nil {
 		return nil, fmt.Errorf("core: resume: %w", err)
 	}
 	s.gpc.Restore(chip.GPC)

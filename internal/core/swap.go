@@ -158,7 +158,7 @@ func (s *SecureMemory) SwapIn(img *PageImage, pageAddr layout.Addr, slot int) er
 		if uerr := s.tree.UpdateBlock(ctrAddr); uerr != nil {
 			return uerr
 		}
-		return fmt.Errorf("%w: swapped page %#x counter block does not match its page root: %v", ErrTampered, pageAddr, err)
+		return fmt.Errorf("%w: page %#x: %v", ErrImageMismatch, pageAddr, err)
 	}
 	// Steps 3-5: install data, MACs; per-block verification happens lazily
 	// on each future read against the now-trusted counters.

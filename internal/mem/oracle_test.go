@@ -177,9 +177,9 @@ func (m *mapMemory) Deserialize(r io.Reader) error {
 }
 
 // deserializeReader is the per-record reader loop Memory.Deserialize ran
-// before the image decoder read straight from a byte slice: two
-// io.ReadFull calls per record through a bufio.Reader. It is the oracle
-// FuzzDeserialize holds DeserializeBytes to.
+// before it read whole records a chunk at a time: two io.ReadFull calls
+// per record through a bufio.Reader. It is the oracle FuzzDeserialize
+// holds the chunked decoder to.
 func deserializeReader(m *Memory, r io.Reader) error {
 	br := bufio.NewReader(r)
 	var magic [8]byte

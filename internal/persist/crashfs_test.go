@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -214,6 +215,23 @@ func (c *crashFS) ReadFile(name string) ([]byte, error) {
 	}
 	return append([]byte(nil), f.data...), nil
 }
+
+// Open reads the file's content as of the call; nothing the layer opens
+// for reading is written while it is open.
+func (c *crashFS) Open(name string) (ReadOnlyFile, int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.files[name]
+	if !ok {
+		return nil, 0, fmt.Errorf("crashfs: open %s: %w", name, fs.ErrNotExist)
+	}
+	return readOnly{bytes.NewReader(f.data)}, int64(len(f.data)), nil
+}
+
+// readOnly is an in-memory ReadOnlyFile.
+type readOnly struct{ *bytes.Reader }
+
+func (readOnly) Close() error { return nil }
 
 func (c *crashFS) Rename(oldname, newname string) error {
 	c.mu.Lock()

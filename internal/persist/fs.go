@@ -22,6 +22,9 @@ type FS interface {
 	OpenFile(name string) (File, error)
 	// ReadFile returns name's full content.
 	ReadFile(name string) ([]byte, error)
+	// Open opens name read-only and returns it with its size, for reads
+	// of a file too large to hold whole.
+	Open(name string) (ReadOnlyFile, int64, error)
 	// Rename atomically replaces newname with oldname.
 	Rename(oldname, newname string) error
 	// Remove deletes a file.
@@ -45,6 +48,12 @@ type File interface {
 	Close() error
 }
 
+// ReadOnlyFile is the read handle FS.Open hands out.
+type ReadOnlyFile interface {
+	io.ReaderAt
+	io.Closer
+}
+
 // osFS is the real filesystem.
 type osFS struct{}
 
@@ -65,6 +74,19 @@ func (osFS) OpenFile(name string) (File, error) {
 }
 
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+
+func (osFS) Open(name string) (ReadOnlyFile, int64, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
+}
 
 func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 

@@ -54,7 +54,7 @@ func newStoreMetrics(svc *obs.Service) *storeMetrics {
 	}
 	for i, ph := range phaseSeries(RecoveryPhases{}) {
 		m.phases[i] = reg.Gauge("secmemd_persist_recovery_phase_us",
-			"Wall-clock duration of one phase of the last crash recovery, microseconds (slowest_* are the slowest shard's share of rebuild).",
+			"Wall-clock duration of one phase of the last crash recovery, microseconds (snapshot_read is the anchor read plus the snapshot's open and framing walk; slowest_* are the slowest shard's share of rebuild, its decode including the read of its section).",
 			"phase", ph.label)
 	}
 	return m

@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -44,20 +45,20 @@ func (st *Store) Recover(cfg shard.Config) (*shard.Pool, RecoveryInfo, error) {
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	snapB, err := st.fs.ReadFile(st.snapPath(anc.Epoch))
+	f, size, err := st.fs.Open(st.snapPath(anc.Epoch))
 	if err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("%w: snapshot for anchored epoch %d missing", ErrSnapshotTampered, anc.Epoch)
 	}
-	info := RecoveryInfo{Epoch: anc.Epoch, SnapshotBytes: int64(len(snapB))}
-	info.Phases.SnapshotRead = time.Since(start)
-	ccfg, imgs, err := snapshotSections(cfg, anc, snapB)
+	defer f.Close()
+	ccfg, secs, err := snapshotSections(cfg, anc, f, size)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	info.Shards = len(imgs)
+	info := RecoveryInfo{Epoch: anc.Epoch, Shards: len(secs), SnapshotBytes: size}
+	info.Phases.SnapshotRead = time.Since(start)
 
 	t0 := time.Now()
-	st.initWriters(len(imgs))
+	st.initWriters(len(secs))
 	logs := make([]walLog, len(st.wals))
 	seqs := make([]uint64, len(st.wals))
 	for i, w := range st.wals {
@@ -101,7 +102,7 @@ func (st *Store) Recover(cfg shard.Config) (*shard.Pool, RecoveryInfo, error) {
 		info.WALRecords += l.seq
 		info.WALBytes += l.validLen
 	}
-	pool, rebuilt, err := restorePool(cfg, ccfg, anc, imgs, recs)
+	pool, rebuilt, err := restorePool(cfg, ccfg, anc, secs, recs)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
@@ -151,17 +152,23 @@ func (st *Store) Recover(cfg shard.Config) (*shard.Pool, RecoveryInfo, error) {
 	info.Elapsed = time.Since(start)
 	st.met.observeRecovery(info)
 	if st.opts.Logf != nil {
-		st.opts.Logf("recovered epoch %d: %d WAL records (%d applied, %d reproduced rejections) over a %s snapshot in %s, phases %+v",
-			info.Epoch, info.WALRecords, info.Replayed, info.ReplaySkipped, sizeString(info.SnapshotBytes), info.Elapsed.Round(time.Millisecond), info.Phases)
+		ph, ms := info.Phases, func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+		st.opts.Logf("recovered epoch %d: %d WAL records (%d applied, %d reproduced rejections) over a %s snapshot in %s: "+
+			"open+framing %s, WAL scan %s, rebuild %s (slowest shard: read+decode %s, replay %s, sweep %s), reopen %s",
+			info.Epoch, info.WALRecords, info.Replayed, info.ReplaySkipped, sizeString(info.SnapshotBytes), info.Elapsed.Round(time.Millisecond),
+			ms(ph.SnapshotRead), ms(ph.Scan), ms(ph.Rebuild), ms(ph.SlowestDecode), ms(ph.SlowestReplay), ms(ph.SlowestSweep), ms(ph.Reopen))
 	}
 	return pool, info, nil
 }
 
-// snapshotSections checks a snapshot against the anchor it is sealed
-// under and splits its body into per-shard images, in place. It also
-// returns the controller configuration the images resume under.
-func snapshotSections(cfg shard.Config, anc anchor, snap []byte) (core.Config, [][]byte, error) {
-	sEpoch, sShards, err := parseSnapHeader(snap)
+// snapshotSections checks the header of a snapshot file (r, size bytes)
+// against the anchor it is sealed under and walks its body's framing
+// (shard.Sections), returning a reader over each shard's image and the
+// controller configuration the images resume under. No image is read.
+func snapshotSections(cfg shard.Config, anc anchor, r io.ReaderAt, size int64) (core.Config, []*io.SectionReader, error) {
+	var hdr [snapHeaderLen]byte
+	n, _ := io.ReadFull(io.NewSectionReader(r, 0, size), hdr[:])
+	sEpoch, sShards, err := parseSnapHeader(hdr[:n])
 	if err != nil {
 		return core.Config{}, nil, fmt.Errorf("%w: %v", ErrSnapshotTampered, err)
 	}
@@ -169,11 +176,12 @@ func snapshotSections(cfg shard.Config, anc anchor, snap []byte) (core.Config, [
 		return core.Config{}, nil, fmt.Errorf("%w: snapshot header (epoch %d, %d shards) does not match anchor (epoch %d, %d shards)",
 			ErrSnapshotTampered, sEpoch, sShards, anc.Epoch, len(anc.Chips))
 	}
-	ccfg, imgs, err := shard.SplitImage(cfg, snap[snapHeaderLen:])
+	body := size - snapHeaderLen
+	ccfg, secs, err := shard.Sections(cfg, io.NewSectionReader(r, snapHeaderLen, body), body)
 	if err != nil {
 		return core.Config{}, nil, fmt.Errorf("%w: resume: %v", ErrSnapshotTampered, err)
 	}
-	return ccfg, imgs, nil
+	return ccfg, secs, nil
 }
 
 // restoredShard is one shard's controller as restoreShard rebuilt it.
@@ -186,15 +194,16 @@ type restoredShard struct {
 
 // restoreShard rebuilds shard i's controller from durable state, the one
 // path recovery, repair and baseline import share: resume it from img
-// (its snapshot section) under the anchor's chip state, replay recs (its
+// (its snapshot section, decoded as it is read) under the anchor's chip
+// state, replay recs (its
 // WAL records past the snapshot) on the bare controller, and sweep it
 // whole against the restored root. Ops the live run rejected the same
 // deterministic way are reproduced and counted as skipped. The structural
 // ops replayed come back in replay order for the tenant layer (aux.go).
-func restoreShard(ccfg core.Config, anc anchor, i int, img []byte, recs []walRec) (restoredShard, error) {
+func restoreShard(ccfg core.Config, anc anchor, i int, img io.Reader, recs []walRec) (restoredShard, error) {
 	var r restoredShard
 	t0 := time.Now()
-	sm, err := core.ResumeImage(ccfg, anc.Chips[i], img)
+	sm, err := core.Resume(ccfg, anc.Chips[i], img)
 	if err != nil {
 		return r, fmt.Errorf("%w: resume shard %d: %v", ErrSnapshotTampered, i, err)
 	}
@@ -206,6 +215,10 @@ func restoreShard(ccfg core.Config, anc anchor, i int, img []byte, recs []walRec
 		}
 		pimg, rerr := shard.ApplyOpImage(sm, op)
 		switch {
+		case errors.Is(rerr, core.ErrImageMismatch):
+			// The live run refused this swap-in's image the same way after
+			// logging it; its directory slot passed the tree check.
+			r.skipped++
 		case errors.Is(rerr, core.ErrTampered):
 			return r, fmt.Errorf("%w: replay on shard %d: %v", ErrSnapshotTampered, i, rerr)
 		case rerr != nil:
@@ -226,18 +239,19 @@ func restoreShard(ccfg core.Config, anc anchor, i int, img []byte, recs []walRec
 }
 
 // restorePool runs restoreShard for every shard at once, one goroutine
-// per shard (recs[i] is shard i's records), and once all have finished
+// per shard (secs[i] is shard i's snapshot section, recs[i] its records),
+// and once all have finished
 // assembles the pool. It returns the per-shard results in shard order, or
 // the lowest-numbered shard's error.
-func restorePool(cfg shard.Config, ccfg core.Config, anc anchor, imgs [][]byte, recs [][]walRec) (*shard.Pool, []restoredShard, error) {
-	out := make([]restoredShard, len(imgs))
-	errs := make([]error, len(imgs))
+func restorePool(cfg shard.Config, ccfg core.Config, anc anchor, secs []*io.SectionReader, recs [][]walRec) (*shard.Pool, []restoredShard, error) {
+	out := make([]restoredShard, len(secs))
+	errs := make([]error, len(secs))
 	var wg sync.WaitGroup
-	for i := range imgs {
+	for i := range secs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i], errs[i] = restoreShard(ccfg, anc, i, imgs[i], recs[i])
+			out[i], errs[i] = restoreShard(ccfg, anc, i, secs[i], recs[i])
 		}()
 	}
 	wg.Wait()

@@ -86,11 +86,12 @@ func (st *Store) rebuildShard(pool *shard.Pool, i int, epoch uint64) (*core.Secu
 	if i < 0 || i >= len(anc.Chips) {
 		return nil, fmt.Errorf("persist: repair shard %d: anchor has %d shards", i, len(anc.Chips))
 	}
-	snapB, err := st.fs.ReadFile(st.snapPath(anc.Epoch))
+	f, size, err := st.fs.Open(st.snapPath(anc.Epoch))
 	if err != nil {
 		return nil, fmt.Errorf("%w: snapshot for epoch %d unreadable during repair: %v", ErrSnapshotTampered, anc.Epoch, err)
 	}
-	ccfg, imgs, err := snapshotSections(pool.Config(), anc, snapB)
+	defer f.Close()
+	ccfg, secs, err := snapshotSections(pool.Config(), anc, f, size)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +123,7 @@ func (st *Store) rebuildShard(pool *shard.Pool, i int, epoch uint64) (*core.Secu
 	if err != nil {
 		return nil, err
 	}
-	r, err := restoreShard(ccfg, anc, i, imgs[i], l.recs)
+	r, err := restoreShard(ccfg, anc, i, secs[i], l.recs)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ package persist
 // replayed stream is rejected even if the transport is compromised.
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"encoding/binary"
 	"errors"
@@ -417,7 +418,7 @@ func ImportBaseline(processorKey []byte, cfg shard.Config, b *Baseline) (*shard.
 	if len(b.Shards) != len(anc.Chips) {
 		return nil, nil, fmt.Errorf("%w: baseline has %d WALs, anchor %d shards", ErrSnapshotTampered, len(b.Shards), len(anc.Chips))
 	}
-	ccfg, imgs, err := snapshotSections(cfg, anc, b.Snapshot)
+	ccfg, secs, err := snapshotSections(cfg, anc, bytes.NewReader(b.Snapshot), int64(len(b.Snapshot)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -439,7 +440,7 @@ func ImportBaseline(processorKey []byte, cfg shard.Config, b *Baseline) (*shard.
 		recs[i] = r
 		cursors[i] = &SegmentCursor{key: key, dataKey: dataKey, Epoch: anc.Epoch, Shard: uint32(i), Seq: seq, Chain: chain}
 	}
-	pool, _, err := restorePool(cfg, ccfg, anc, imgs, recs)
+	pool, _, err := restorePool(cfg, ccfg, anc, secs, recs)
 	if err != nil {
 		return nil, nil, err
 	}

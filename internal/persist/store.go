@@ -130,10 +130,14 @@ type RecoveryInfo struct {
 // RecoveryPhases is the wall-clock time of each phase of a recovery from
 // an anchored directory, in the order they run (all zero on a fresh one).
 type RecoveryPhases struct {
-	SnapshotRead time.Duration `json:"snapshot_read_ns"` // anchor and snapshot read
-	Scan         time.Duration `json:"scan_ns"`          // every WAL and the tenant journal verified, barrier caps applied
-	Rebuild      time.Duration `json:"rebuild_ns"`       // every shard decoded, replayed and swept, concurrently
-	// The slowest shard's share of Rebuild.
+	// SnapshotRead is the anchor read plus the snapshot's open and framing
+	// walk: its header and section lengths checked against its size. No
+	// shard image is read here; each shard reads its own in Rebuild.
+	SnapshotRead time.Duration `json:"snapshot_read_ns"`
+	Scan         time.Duration `json:"scan_ns"`    // every WAL and the tenant journal verified, barrier caps applied
+	Rebuild      time.Duration `json:"rebuild_ns"` // every shard's section read and decoded, replayed and swept, concurrently
+	// The slowest shard's share of Rebuild; its decode includes reading
+	// its section from the snapshot file.
 	SlowestDecode time.Duration `json:"slowest_decode_ns"`
 	SlowestReplay time.Duration `json:"slowest_replay_ns"`
 	SlowestSweep  time.Duration `json:"slowest_sweep_ns"`

@@ -56,20 +56,13 @@ func (p *Pool) Checkpoint(w io.Writer, commit func(chips []core.ChipState) error
 	}
 	chips := make([]core.ChipState, len(p.shards))
 	for i, sh := range p.shards {
-		// The memory serializer buffers its reader, so each shard image is
-		// length-prefixed to keep stream positions exact.
-		var img bytes.Buffer
-		chip, err := sh.sm.Hibernate(&img)
+		// Each shard image goes straight to w as one length-prefixed
+		// section, so a reader can find every section without decoding.
+		chip, err := sh.sm.HibernateSection(w)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		chips[i] = chip
-		if err := binary.Write(w, binary.LittleEndian, uint64(img.Len())); err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(img.Bytes()); err != nil {
-			return nil, err
-		}
 	}
 	if commit != nil {
 		if err := commit(chips); err != nil {
@@ -79,37 +72,58 @@ func (p *Pool) Checkpoint(w io.Writer, commit func(chips []core.ChipState) error
 	return chips, nil
 }
 
-// SplitImage validates cfg and splits a hibernation stream of a pool of
-// cfg's shape into its per-shard memory images, in place: each image is a
-// sub-slice of b. It also returns the controller configuration each image
-// resumes under. The stream is untrusted; only its framing is checked
-// here, and the caller must verify each resumed controller against its
-// sealed chip state before trusting it.
-func SplitImage(cfg Config, b []byte) (core.Config, [][]byte, error) {
+// Sections validates cfg and walks the framing of a hibernation stream of
+// a pool of cfg's shape, the size bytes of r, returning one reader per
+// shard over its memory image. It reads only the header and the section
+// lengths, checking each against size, so a stream cut short or claiming
+// a section past its end is refused before any image is read. It also
+// returns the controller configuration each image resumes under. The
+// stream is untrusted; only its framing is checked here, and the caller
+// must verify each resumed controller against its sealed chip state
+// before trusting it.
+func Sections(cfg Config, r io.ReaderAt, size int64) (core.Config, []*io.SectionReader, error) {
 	cfg, ccfg, err := cfg.resolve()
 	if err != nil {
 		return core.Config{}, nil, err
 	}
-	if len(b) < 12 || [8]byte(b[:8]) != hibMagic {
+	var hdr [12]byte
+	if size < int64(len(hdr)) || readAt(r, hdr[:], 0) != nil || [8]byte(hdr[:8]) != hibMagic {
 		return core.Config{}, nil, fmt.Errorf("shard: image: bad hibernation header")
 	}
-	if n := int(binary.LittleEndian.Uint32(b[8:12])); n != cfg.Shards {
+	if n := int(binary.LittleEndian.Uint32(hdr[8:12])); n != cfg.Shards {
 		return core.Config{}, nil, fmt.Errorf("shard: image has %d shards, config has %d", n, cfg.Shards)
 	}
-	imgs := make([][]byte, cfg.Shards)
-	b = b[12:]
-	for i := range imgs {
-		if len(b) < 8 {
+	secs := make([]*io.SectionReader, cfg.Shards)
+	off := int64(len(hdr))
+	for i := range secs {
+		var lb [8]byte
+		if size-off < int64(len(lb)) {
 			return core.Config{}, nil, fmt.Errorf("shard %d: image: truncated length", i)
 		}
-		n := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		if uint64(len(b)) < n {
+		if err := readAt(r, lb[:], off); err != nil {
+			return core.Config{}, nil, fmt.Errorf("shard %d: image: %w", i, err)
+		}
+		off += int64(len(lb))
+		n := binary.LittleEndian.Uint64(lb[:])
+		if uint64(size-off) < n {
 			return core.Config{}, nil, fmt.Errorf("shard %d: image: truncated", i)
 		}
-		imgs[i], b = b[:n:n], b[n:]
+		secs[i] = io.NewSectionReader(r, off, int64(n))
+		off += int64(n)
 	}
-	return ccfg, imgs, nil
+	return ccfg, secs, nil
+}
+
+// readAt fills p from r at off.
+func readAt(r io.ReaderAt, p []byte, off int64) error {
+	n, err := r.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Resume reconstructs a pool from a hibernation stream and the trusted
@@ -121,16 +135,16 @@ func Resume(cfg Config, chips []core.ChipState, r io.Reader) (*Pool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: resume: %w", err)
 	}
-	ccfg, imgs, err := SplitImage(cfg, b)
+	ccfg, secs, err := Sections(cfg, bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		return nil, fmt.Errorf("shard: resume: %w", err)
 	}
-	if len(chips) != len(imgs) {
-		return nil, fmt.Errorf("shard: resume: %d chip states for %d shards", len(chips), len(imgs))
+	if len(chips) != len(secs) {
+		return nil, fmt.Errorf("shard: resume: %d chip states for %d shards", len(chips), len(secs))
 	}
-	sms := make([]*core.SecureMemory, len(imgs))
-	for i, img := range imgs {
-		if sms[i], err = core.ResumeImage(ccfg, chips[i], img); err != nil {
+	sms := make([]*core.SecureMemory, len(secs))
+	for i, sec := range secs {
+		if sms[i], err = core.Resume(ccfg, chips[i], sec); err != nil {
 			return nil, fmt.Errorf("shard %d: resume: %w", i, err)
 		}
 	}

@@ -159,7 +159,7 @@ func New(cfg Config) (*Pool, error) {
 
 // Assemble builds a pool around controllers that already exist, one per
 // shard in shard order, each built under the controller configuration
-// SplitImage returns for cfg (typically resumed from a snapshot image and
+// Sections returns for cfg (typically resumed from a snapshot image and
 // verified), and starts their workers.
 func Assemble(cfg Config, sms []*core.SecureMemory) (*Pool, error) {
 	cfg, _, err := cfg.resolve()
