@@ -387,7 +387,7 @@ func (st *Store) resume(w *walWriter, epoch uint64, l *walLog, mode resumeMode) 
 	w.epoch = epoch
 	w.seq = l.seq
 	w.chain = l.chain
-	w.crypt = newWALCrypt(st.dataKey, epoch, w.shardIdx)
+	w.codec = newWALCodec(st.key, st.dataKey, epoch, w.shardIdx)
 	w.syncedSeq = l.head.Seq
 	w.flushedSeq = l.head.Seq
 	w.poisoned = false

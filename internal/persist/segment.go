@@ -130,24 +130,22 @@ func DecodeSegment(processorKey, b []byte) (*Segment, error) {
 // log: the next segment must extend exactly (Epoch, Seq, Chain). It is
 // primed by ImportBaseline and advanced by Apply.
 type SegmentCursor struct {
-	key     []byte
-	dataKey []byte
-	Epoch   uint64
-	Shard   uint32
-	Seq     uint64
-	Chain   [sealSize]byte
+	codec *walCodec
+	Epoch uint64
+	Shard uint32
+	Seq   uint64
+	Chain [sealSize]byte
 }
 
 // NewSegmentCursor primes a cursor at an explicit position (tests; the
 // cluster layer gets cursors from ImportBaseline).
 func NewSegmentCursor(processorKey []byte, epoch uint64, shardIdx uint32, seq uint64, chain [sealSize]byte) *SegmentCursor {
 	return &SegmentCursor{
-		key:     sealKey(processorKey),
-		dataKey: walDataKey(processorKey),
-		Epoch:   epoch,
-		Shard:   shardIdx,
-		Seq:     seq,
-		Chain:   chain,
+		codec: newWALCodec(sealKey(processorKey), walDataKey(processorKey), epoch, shardIdx),
+		Epoch: epoch,
+		Shard: shardIdx,
+		Seq:   seq,
+		Chain: chain,
 	}
 }
 
@@ -175,7 +173,7 @@ func (c *SegmentCursor) Apply(s *Segment) ([]shard.MutOp, error) {
 		// restarted owner whose log diverged below the cursor).
 		return nil, fmt.Errorf("%w: segment chain break at seq %d", ErrWALTampered, s.FromSeq)
 	}
-	recs, seq, chain, err := walkSegmentFrames(c.key, c.dataKey, c.Epoch, c.Shard, c.Seq, c.Chain, s.Records)
+	recs, seq, chain, err := walkSegmentFrames(c.codec, c.Seq, c.Chain, s.Records)
 	if err != nil {
 		return nil, err
 	}
@@ -198,8 +196,7 @@ func (c *SegmentCursor) Apply(s *Segment) ([]shard.MutOp, error) {
 // scan's checks, but strictly: a segment is complete log material shipped
 // by a live process, so a torn or trailing frame is forgery, not a crash
 // artifact. Returns the decoded records and the position reached.
-func walkSegmentFrames(k, dataKey []byte, epoch uint64, shardIdx uint32, seq uint64, chain [sealSize]byte, frames []byte) ([]walRec, uint64, [sealSize]byte, error) {
-	crypt := newWALCrypt(dataKey, epoch, shardIdx)
+func walkSegmentFrames(codec *walCodec, seq uint64, chain [sealSize]byte, frames []byte) ([]walRec, uint64, [sealSize]byte, error) {
 	var recs []walRec
 	off := 0
 	for off < len(frames) {
@@ -219,12 +216,12 @@ func walkSegmentFrames(k, dataKey []byte, epoch uint64, shardIdx uint32, seq uin
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) {
 			return nil, 0, chain, fmt.Errorf("%w: segment record %d CRC mismatch", ErrWALTampered, seq+1)
 		}
-		next := chainNext(k, chain, payload)
+		next := codec.chainNext(chain, payload)
 		if !hmac.Equal(next[:], rest[recFrameLen+int(plen):total]) {
 			return nil, 0, chain, fmt.Errorf("%w: segment record %d chain MAC mismatch", ErrWALTampered, seq+1)
 		}
 		plain := append([]byte(nil), payload...)
-		crypt.xor(seq+1, plain)
+		codec.xor(seq+1, plain)
 		rec, perr := parseRecPayload(plain)
 		if perr != nil {
 			return nil, 0, chain, fmt.Errorf("%w: segment record %d: %v", ErrWALTampered, seq+1, perr)
@@ -438,7 +435,7 @@ func ImportBaseline(processorKey []byte, cfg shard.Config, b *Baseline) (*shard.
 				ErrWALTampered, i, seq, validLen, len(sh.WAL), sh.Seq)
 		}
 		recs[i] = r
-		cursors[i] = &SegmentCursor{key: key, dataKey: dataKey, Epoch: anc.Epoch, Shard: uint32(i), Seq: seq, Chain: chain}
+		cursors[i] = &SegmentCursor{codec: newWALCodec(key, dataKey, anc.Epoch, uint32(i)), Epoch: anc.Epoch, Shard: uint32(i), Seq: seq, Chain: chain}
 	}
 	pool, _, err := restorePool(cfg, ccfg, anc, secs, recs)
 	if err != nil {

@@ -5,9 +5,11 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"sync"
 
@@ -88,21 +90,31 @@ func walDataKey(processorKey []byte) []byte {
 	return m.Sum(nil)
 }
 
-// walCrypt encrypts record payloads for one (epoch, shard) log
-// generation. Each generation gets its own AES-256 key, so the record
-// sequence number alone is a safe CTR nonce: the seq fills the IV's high
-// half, leaving a 64-bit block counter — far beyond maxRecPayload — so
-// keystreams of distinct records never overlap. The one caveat is a
-// record that is appended and then torn away (crash truncation, commit
-// rewind): its replacement reuses the seq's keystream, which only aids an
-// attacker who also captured the disk before the truncation — the live
-// file never holds both.
-type walCrypt struct {
+// walCodec seals record payloads for one (epoch, shard) log generation:
+// it encrypts them and advances the MAC chain over the ciphertext. Each
+// generation gets its own AES-256 key, so the record sequence number alone
+// is a safe CTR nonce: the seq fills the IV's high half, leaving a 64-bit
+// block counter — far beyond maxRecPayload — so keystreams of distinct
+// records never overlap. The one caveat is a record that is appended and
+// then torn away (crash truncation, commit rewind): its replacement reuses
+// the seq's keystream, which only aids an attacker who also captured the
+// disk before the truncation — the live file never holds both.
+//
+// One codec serves every record of a writer, scan or cursor: the keyed
+// HMAC is reset between records and the keystream is built in a reused
+// buffer, so a record costs no crypto allocation. A codec is not safe for
+// concurrent use; its owner's lock (writer, standby) or scope (scan)
+// serializes it.
+type walCodec struct {
 	blk cipher.Block
+	ks  []byte    // keystream scratch
+	mac hash.Hash // HMAC(sealKey), reset per record
+	sum []byte    // mac.Sum scratch
 }
 
-// newWALCrypt derives the (epoch, shard) generation cipher.
-func newWALCrypt(dataKey []byte, epoch uint64, shardIdx uint32) *walCrypt {
+// newWALCodec derives the (epoch, shard) generation cipher and keys the
+// chain MAC with the sealing key k.
+func newWALCodec(k, dataKey []byte, epoch uint64, shardIdx uint32) *walCodec {
 	var b [12]byte
 	binary.LittleEndian.PutUint64(b[:8], epoch)
 	binary.LittleEndian.PutUint32(b[8:12], shardIdx)
@@ -111,25 +123,38 @@ func newWALCrypt(dataKey []byte, epoch uint64, shardIdx uint32) *walCrypt {
 	m.Write(b[:])
 	blk, err := aes.NewCipher(m.Sum(nil))
 	if err != nil {
-		panic("persist: walCrypt key derivation: " + err.Error()) // 32-byte key; unreachable
+		panic("persist: walCodec key derivation: " + err.Error()) // 32-byte key; unreachable
 	}
-	return &walCrypt{blk: blk}
+	return &walCodec{blk: blk, mac: hmac.New(sha256.New, k), sum: make([]byte, 0, sealSize)}
 }
 
-// xor applies record seq's CTR keystream to p in place.
-func (c *walCrypt) xor(seq uint64, p []byte) {
-	var iv [aes.BlockSize]byte
-	binary.BigEndian.PutUint64(iv[:8], seq)
-	cipher.NewCTR(c.blk, iv[:]).XORKeyStream(p, p)
+// xor applies record seq's CTR keystream to p in place: block j of the
+// keystream is AES(seq ‖ j), both big-endian, as cipher.NewCTR with IV
+// seq ‖ 0 would produce it.
+func (c *walCodec) xor(seq uint64, p []byte) {
+	n := (len(p) + aes.BlockSize - 1) &^ (aes.BlockSize - 1)
+	if cap(c.ks) < n {
+		c.ks = make([]byte, n)
+	}
+	ks := c.ks[:n]
+	for off := 0; off < n; off += aes.BlockSize {
+		blk := ks[off : off+aes.BlockSize]
+		binary.BigEndian.PutUint64(blk[:8], seq)
+		binary.BigEndian.PutUint64(blk[8:], uint64(off/aes.BlockSize))
+		c.blk.Encrypt(blk, blk)
+	}
+	subtle.XORBytes(p, p, ks)
 }
 
 // chainNext advances the MAC chain over one record payload.
-func chainNext(k []byte, prev [sealSize]byte, payload []byte) [sealSize]byte {
-	m := hmac.New(sha256.New, k)
-	m.Write(prev[:])
-	m.Write(payload)
+func (c *walCodec) chainNext(prev [sealSize]byte, payload []byte) [sealSize]byte {
+	c.mac.Reset()
+	c.sum = append(c.sum[:0], prev[:]...) // prev itself would escape through the interface call
+	c.mac.Write(c.sum)
+	c.mac.Write(payload)
+	c.sum = c.mac.Sum(c.sum[:0])
 	var out [sealSize]byte
-	copy(out[:], m.Sum(nil))
+	copy(out[:], c.sum)
 	return out
 }
 
@@ -156,7 +181,7 @@ func encodeRecPayload(b []byte, rec walRec) []byte {
 
 // appendRecord encrypts and frames rec — taking sequence number seq — onto
 // b and returns the new chain value.
-func appendRecord(b []byte, k []byte, c *walCrypt, prev [sealSize]byte, seq uint64, rec walRec) ([]byte, [sealSize]byte) {
+func appendRecord(b []byte, c *walCodec, prev [sealSize]byte, seq uint64, rec walRec) ([]byte, [sealSize]byte) {
 	plen := recFixedLen + len(rec.Data)
 	b = binary.LittleEndian.AppendUint32(b, uint32(plen))
 	crcAt := len(b)
@@ -166,7 +191,7 @@ func appendRecord(b []byte, k []byte, c *walCrypt, prev [sealSize]byte, seq uint
 	payload := b[payAt:]
 	c.xor(seq, payload) // only ciphertext reaches untrusted storage
 	binary.LittleEndian.PutUint32(b[crcAt:], crc32.ChecksumIEEE(payload))
-	next := chainNext(k, prev, payload)
+	next := c.chainNext(prev, payload)
 	b = append(b, next[:]...)
 	return b, next
 }
@@ -214,7 +239,7 @@ func scanWAL(k, dataKey []byte, file []byte, head walHead) (recs []walRec, seq u
 		return nil, 0, chain, 0, fmt.Errorf("%w: shard %d WAL header does not match its head (epoch %d)", ErrWALTampered, head.Shard, head.Epoch)
 	}
 	chain = chainSeed(k, epoch, shardIdx)
-	crypt := newWALCrypt(dataKey, epoch, shardIdx)
+	codec := newWALCodec(k, dataKey, epoch, shardIdx)
 	off := walHeaderLen
 	for off < len(file) {
 		// A damaged frame is a torn tail only if it sits entirely beyond
@@ -257,12 +282,12 @@ func scanWAL(k, dataKey []byte, file []byte, head walHead) (recs []walRec, seq u
 		// Complete, CRC-clean record: its chain value must verify. A
 		// mismatch here is forgery or modification, never a torn write,
 		// so it fails closed even beyond the committed sequence.
-		next := chainNext(k, chain, payload)
+		next := codec.chainNext(chain, payload)
 		if !hmac.Equal(next[:], rest[recFrameLen+int(plen):total]) {
 			return nil, 0, chain, 0, fmt.Errorf("%w: shard %d WAL record %d chain MAC mismatch", ErrWALTampered, head.Shard, seq+1)
 		}
 		plain := append([]byte(nil), payload...)
-		crypt.xor(seq+1, plain)
+		codec.xor(seq+1, plain)
 		rec, perr := parseRecPayload(plain)
 		if perr != nil {
 			return nil, 0, chain, 0, fmt.Errorf("%w: shard %d WAL record %d: %v", ErrWALTampered, head.Shard, seq+1, perr)
@@ -322,7 +347,7 @@ type walWriter struct {
 	epoch uint64
 	seq   uint64
 	chain [sealSize]byte
-	crypt *walCrypt // payload cipher for the current epoch
+	codec *walCodec // payload cipher and chain MAC for the current epoch
 
 	syncedSeq  uint64 // last seq covered by a durable head
 	flushedSeq uint64 // last seq covered by a data sync (at or past syncedSeq)
@@ -346,7 +371,7 @@ func (w *walWriter) append(recs []walRec) ([]byte, error) {
 	seq := w.seq
 	for _, r := range recs {
 		seq++
-		b, chain = appendRecord(b, w.key, w.crypt, chain, seq, r)
+		b, chain = appendRecord(b, w.codec, chain, seq, r)
 	}
 	if _, err := w.f.WriteAt(b, w.off); err != nil {
 		return nil, err
@@ -460,7 +485,7 @@ func (w *walWriter) reset(epoch uint64) error {
 	w.syncedSeq = 0
 	w.flushedSeq = 0
 	w.chain = chainSeed(w.key, epoch, w.shardIdx)
-	w.crypt = newWALCrypt(w.dataKey, epoch, w.shardIdx)
+	w.codec = newWALCodec(w.key, w.dataKey, epoch, w.shardIdx)
 	w.poisoned = false
 	return w.writeHead(0, w.chain)
 }

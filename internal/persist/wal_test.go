@@ -23,11 +23,11 @@ func buildWAL(k, dk []byte, epoch uint64, shardIdx uint32, recs []walRec) ([]byt
 	hdr := encodeWALHeader(epoch, shardIdx)
 	b := append([]byte(nil), hdr[:]...)
 	chain := chainSeed(k, epoch, shardIdx)
-	crypt := newWALCrypt(dk, epoch, shardIdx)
+	codec := newWALCodec(k, dk, epoch, shardIdx)
 	var seq uint64
 	for _, r := range recs {
 		seq++
-		b, chain = appendRecord(b, k, crypt, chain, seq, r)
+		b, chain = appendRecord(b, codec, chain, seq, r)
 	}
 	return b, walHead{Epoch: epoch, Shard: shardIdx, Seq: seq, Chain: chain}
 }
@@ -255,5 +255,25 @@ func TestHeadSlotSelection(t *testing.T) {
 	h, err = chooseHead(testSealKey, file2, 1)
 	if err != nil || h.Epoch != 3 || h.Seq != 1 {
 		t.Fatalf("want epoch-3 slot, got %+v err=%v", h, err)
+	}
+}
+
+// TestWALScanAllocs: scanning a log builds its cipher and chain MAC once,
+// not per record. Growing a log from 40 to 400 records may add only the
+// records' own plaintext copies (one each) and the growth of the slice
+// that holds them.
+func TestWALScanAllocs(t *testing.T) {
+	scanAllocs := func(n int) float64 {
+		file, head := buildWAL(testSealKey, testDataKey, 3, 1, testRecs(n))
+		return testing.AllocsPerRun(5, func() {
+			if _, seq, _, _, err := scanWAL(testSealKey, testDataKey, file, head); err != nil || seq != uint64(n) {
+				t.Fatalf("scan: seq %d, err %v", seq, err)
+			}
+		})
+	}
+	small, large := scanAllocs(40), scanAllocs(400)
+	if extra := large - small; extra > 360+16 {
+		t.Fatalf("400-record scan allocated %.0f more times than a 40-record one (%.0f vs %.0f); want at most one per extra record plus slice growth",
+			extra, large, small)
 	}
 }
