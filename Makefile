@@ -41,14 +41,17 @@
 #                        lifecycle; CI runs this after check
 #   make cluster         run a local 3-node proxying cluster in the
 #                        foreground (the README quickstart); Ctrl-C stops it
-#   make chaos           deterministic fault-injection matrix (cmd/chaos):
-#                        bit-flips, rollback, WAL faults, torn writes, slow
-#                        I/O and multi-tenant attacks against a live durable
-#                        pool; CI runs a short smoke of it
+#   make chaos           the deterministic fault-injection matrix for three
+#                        rounds (TestChaosMatrix and TestChaosSurvivesRestart,
+#                        seeds 1 and 42): bit-flips, rollback, WAL faults,
+#                        torn writes, slow I/O and multi-tenant attacks
+#                        against a live durable pool; make test runs the
+#                        same tests at two rounds, and the cluster half runs
+#                        as internal/cluster TestClusterChaos
 
 GO ?= go
 
-.PHONY: check vet build cross test race fuzz fuzz-smoke bench bench-quick bench-smoke metrics-smoke smoke chaos chaos-smoke cluster
+.PHONY: check vet build cross test race fuzz fuzz-smoke bench bench-quick bench-smoke metrics-smoke smoke chaos cluster
 
 check: vet build cross test race
 
@@ -91,12 +94,8 @@ fuzz-smoke:
 	$(GO) test -run=none -fuzz=FuzzDeserialize -fuzztime=5s ./internal/mem/
 	$(GO) test -run=none -fuzz=FuzzSnapshotSections -fuzztime=5s ./internal/shard/
 
-chaos: build
-	$(GO) run ./cmd/chaos -rounds 3
-	$(GO) run ./cmd/chaos -rounds 3 -seed 42
-
-chaos-smoke: build
-	$(GO) run ./cmd/chaos -rounds 1 -q
+chaos:
+	$(GO) test -count=1 -run TestChaos ./internal/chaos/ -chaos.rounds 3
 
 bench:
 	$(GO) run ./bench

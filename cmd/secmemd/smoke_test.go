@@ -33,6 +33,7 @@ import (
 
 	"aisebmt/internal/cluster"
 	"aisebmt/internal/core"
+	"aisebmt/internal/history"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/obs"
 	"aisebmt/internal/server"
@@ -312,7 +313,7 @@ func (l load) run(t *testing.T, dial func(w int) (rw, error)) int {
 				sc.EnableTrace(uint64(w+1) << 32)
 			}
 			rng := rand.New(rand.NewSource(int64(w) + 1))
-			shadow := map[layout.Addr][]byte{}
+			shadow := history.New[layout.Addr]()
 			for i := 0; l.ops > 0 && i < l.ops || l.ops == 0 && time.Now().Before(deadline); i++ {
 				var a layout.Addr
 				for {
@@ -325,14 +326,14 @@ func (l load) run(t *testing.T, dial func(w int) (rw, error)) int {
 				if rng.Float64() < l.readFrac {
 					var got []byte
 					err = l.retried(func() (e error) { got, e = c.Read(a, layout.BlockSize, core.Meta{}); return e })
-					if err == nil && shadow[a] != nil && !bytes.Equal(got, shadow[a]) {
-						err = fmt.Errorf("read %#x: got %x..., want %x...", uint64(a), got[:4], shadow[a][:4])
+					if err == nil {
+						err = shadow.Check(a, got)
 					}
 				} else {
 					v := make([]byte, layout.BlockSize)
 					rng.Read(v)
 					if err = l.retried(func() error { return c.Write(a, v, core.Meta{}) }); err == nil {
-						shadow[a] = v
+						shadow.Ack(a, v)
 					}
 				}
 				if err != nil {
@@ -758,7 +759,7 @@ func TestSmokeCluster(t *testing.T) {
 	victim := probe.Owner(0)
 	const writers = 4
 	stop := make(chan struct{})
-	shadows := make([]map[layout.Addr]byte, writers)
+	shadows := make([]*history.Model[layout.Addr], writers)
 	werrs := make([]error, writers)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -772,7 +773,7 @@ func TestSmokeCluster(t *testing.T) {
 			}
 			defer sc.Close()
 			l := load{retry: 20 * time.Second, retryIf: cluster.Retryable}
-			shadows[w] = map[layout.Addr]byte{}
+			shadows[w] = history.New[layout.Addr]()
 			payload := make([]byte, layout.BlockSize)
 			for i := 0; ; i++ {
 				select {
@@ -789,7 +790,7 @@ func TestSmokeCluster(t *testing.T) {
 					werrs[w] = fmt.Errorf("writer %d addr %#x: %w", w, uint64(a), err)
 					return
 				}
-				shadows[w][a] = v
+				shadows[w].Ack(a, payload)
 			}
 		}(w)
 	}
@@ -821,13 +822,11 @@ func TestSmokeCluster(t *testing.T) {
 		if werrs[w] != nil {
 			t.Fatal(werrs[w])
 		}
-		for a, v := range shadow {
-			acked++
-			got, err := probe.Read(a, layout.BlockSize, core.Meta{})
-			if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{v}, layout.BlockSize)) {
-				t.Fatalf("acked write lost in failover at %#x: %v", uint64(a), err)
-			}
+		n, err := shadow.Verify(func(a layout.Addr) ([]byte, error) { return probe.Read(a, layout.BlockSize, core.Meta{}) })
+		if err != nil {
+			t.Fatalf("acked write lost in failover: %v", err)
 		}
+		acked += n
 	}
 	if acked == 0 {
 		t.Fatal("the failover phase acknowledged no writes")

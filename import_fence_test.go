@@ -21,14 +21,7 @@ var reproductionStack = []string{
 // serviceCommands are the service front ends outside internal/. The
 // reproduction's commands (attacksim, experiments, secmemsim, tracegen)
 // and examples/ may import either stack.
-var serviceCommands = []string{"cmd/secmemd", "cmd/secmemadmin", "cmd/chaos", "cmd/metricslint", "bench"}
-
-// sanctionedEdges are the service → reproduction imports allowed by
-// name: the chaos harness replays the attack package's tamper
-// primitives against a live durable pool.
-var sanctionedEdges = map[[2]string]bool{
-	{"internal/chaos", "internal/attack"}: true,
-}
+var serviceCommands = []string{"cmd/secmemd", "cmd/secmemadmin", "cmd/metricslint", "bench"}
 
 // packageImports parses the non-test files of the package in dir and
 // returns its module-relative imports, and whether it has any files.
@@ -72,9 +65,14 @@ func packageImports(t *testing.T, dir string) ([]string, bool) {
 // tests as the differential oracle.
 //
 // No service package (internal/ outside reproductionStack, plus
-// serviceCommands) may import a reproduction package, except through a
-// sanctionedEdges entry. A direct-edge check suffices: any path from the
-// service stack into the reproduction stack crosses one such edge.
+// serviceCommands) may import a reproduction package. A direct-edge
+// check suffices: any path from the service stack into the reproduction
+// stack crosses one such edge. Test files are outside the fence: the
+// chaos matrix, for one, replays the attack package's tamper primitives
+// against a live durable pool.
+//
+// The acked-write history checker, internal/history, serves tests only:
+// no non-test file anywhere in the module may import it.
 func TestServiceCryptoImportFence(t *testing.T) {
 	for _, dir := range []string{"internal/encrypt", "internal/integrity"} {
 		imps, found := packageImports(t, dir)
@@ -106,7 +104,6 @@ func TestServiceCryptoImportFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := map[[2]string]bool{}
 	checked := 0
 	for _, pkg := range service {
 		imps, found := packageImports(t, pkg)
@@ -114,22 +111,31 @@ func TestServiceCryptoImportFence(t *testing.T) {
 			checked++
 		}
 		for _, p := range imps {
-			if !repro(p) {
-				continue
+			if repro(p) {
+				t.Errorf("service package %s imports reproduction package %s", pkg, p)
 			}
-			if edge := [2]string{pkg, p}; sanctionedEdges[edge] {
-				used[edge] = true
-				continue
-			}
-			t.Errorf("service package %s imports reproduction package %s", pkg, p)
 		}
 	}
 	if checked < len(serviceCommands)+10 {
 		t.Errorf("only %d service packages found; is the test running from the module root?", checked)
 	}
-	for edge := range sanctionedEdges {
-		if !used[edge] {
-			t.Errorf("sanctioned edge %s → %s no longer exists; drop it from sanctionedEdges", edge[0], edge[1])
+
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
+		if path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		imps, _ := packageImports(t, path)
+		for _, p := range imps {
+			if p == "internal/history" {
+				t.Errorf("%s imports internal/history outside its tests; the checker is test-only", filepath.ToSlash(path))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,18 +8,21 @@ import (
 	"time"
 
 	"aisebmt/internal/core"
+	"aisebmt/internal/history"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/obs"
 	"aisebmt/internal/persist"
 	"aisebmt/internal/shard"
 )
 
-// Scenario names the fault schedules the harness knows how to run.
+// scenarios names the fault schedules the harness knows how to run.
 // Each one injects a different fault class into a live, durable pool
 // and checks the same three invariants afterwards: acked writes
 // survive, tampering is detected (never served), and untouched shards
-// keep serving throughout.
-var Scenarios = []string{
+// keep serving throughout. The tenant schedules attack the OS-visible
+// substrate (address spaces, copy-on-write forks, swapped pages on the
+// attacker-owned disk) rather than the memory bus.
+var scenarios = []string{
 	"bitflip-data",     // flip a ciphertext bit on the memory bus
 	"bitflip-counter",  // flip a bit in a page's counter block
 	"bitflip-treenode", // flip a bit in a coalesced interior tree node
@@ -30,98 +32,76 @@ var Scenarios = []string{
 	"slow-io",          // the disk stalls but never fails
 	"checkpoint",       // cut a checkpoint mid-run (WAL truncation in the mix)
 
-	"tenant-swap-tamper",     // see TenantScenarios
-	"tenant-fork-kill",       //
-	"tenant-swap-pressure",   //
-	"tenant-restart-recover", //
+	"tenant-swap-tamper",     // corrupt a swapped-out page's counter block on disk
+	"tenant-fork-kill",       // destroy a tenant in the middle of a fork storm
+	"tenant-swap-pressure",   // working set ≫ resident budget, shadow-checked
+	"tenant-restart-recover", // power-cycle a tenant-durable store mid-churn
 }
 
-// Config sizes a harness run.
-type Config struct {
-	// Dir is the store's data directory (must be writable and private to
-	// the run).
-	Dir string
-	// Seed drives every random choice: victims, addresses, values, fault
-	// dice. Two runs with the same seed execute the same schedule.
-	Seed int64
-	// Shards is the pool width (default 3 — one victim, two bystanders).
-	Shards int
-	// PagesPerShard sizes each shard's slice (default 4).
-	PagesPerShard int
-	// BaseFS is the real filesystem under the fault wrapper (default OS).
-	BaseFS persist.FS
-	// Logf, when non-nil, receives store and harness events.
-	Logf func(format string, args ...any)
+// The pool under test: one victim shard and two bystanders, four pages
+// each, on the real filesystem under the fault wrapper.
+const (
+	poolShards    = 3
+	pagesPerShard = 4
+)
+
+// runStats counts what a run did and found.
+type runStats struct {
+	scenarios       int
+	ackedWrites     int
+	failedWrites    int
+	tampersInjected int
+	tampersDetected int
+	fsFaults        uint64
+	heals           int
+	modelReads      int
+	poolFaults      uint64
+	poolRepairs     uint64
+	tenantsCreated  int
+	tenantForks     int
+	tenantSwaps     int
 }
 
-// Stats counts what a run did and found.
-type Stats struct {
-	Scenarios       int    `json:"scenarios"`
-	AckedWrites     int    `json:"acked_writes"`
-	FailedWrites    int    `json:"failed_writes"`
-	TampersInjected int    `json:"tampers_injected"`
-	TampersDetected int    `json:"tampers_detected"`
-	FSFaults        uint64 `json:"fs_faults_injected"`
-	Heals           int    `json:"heals"`
-	ModelReads      int    `json:"model_reads"`
-	PoolFaults      uint64 `json:"pool_faults"`
-	PoolRepairs     uint64 `json:"pool_repairs"`
-	TenantsCreated  int    `json:"tenants_created"`
-	TenantForks     int    `json:"tenant_forks"`
-	TenantSwaps     int    `json:"tenant_swaps"`
-}
-
-// Harness drives a durable secure-memory service through fault
-// scenarios while maintaining a shadow model of every acknowledged
-// write. Methods are not safe for concurrent use: the harness is the
-// single client, which keeps seeded runs deterministic.
-type Harness struct {
-	cfg   Config
-	FS    *FaultFS
-	Store *persist.Store
-	Pool  *shard.Pool
-	Inj   *Injector
-	Obs   *obs.Service
+// harness drives a durable secure-memory service through fault
+// scenarios while keeping a history of every write. Methods are not
+// safe for concurrent use: the harness is the single client, which
+// keeps seeded runs deterministic.
+type harness struct {
+	dir   string
+	logf  func(format string, args ...any)
+	fs    *faultFS
+	store *persist.Store
+	pool  *shard.Pool
+	inj   *injector
+	obs   *obs.Service
 	rng   *rand.Rand
 
 	// traceSeq stamps every harness request with a distinct trace ID, so
 	// fault scenarios double as soak tests for the per-shard trace rings
-	// and VerifyObs can hold the spans to the acceptance timeline.
+	// and verifyObs can hold the spans to the acceptance timeline.
 	traceSeq uint64
 
-	// model maps each written pool address to its value candidates.
-	// candidates[0] is the last acknowledged value; later entries are
-	// values of failed writes, which the durability contract allows to
-	// surface after a repair (a failed write may have reached the log —
-	// the usual indeterminacy of a failed write, never loss of an acked
-	// one). A read must return SOME candidate; anything else is loss or
-	// fabrication.
-	model   map[layout.Addr][][]byte
+	// model is the history of every pool write. A failed write may
+	// surface after a repair (it may have reached the log — the usual
+	// indeterminacy of a failed write, never loss of an acked one).
+	model   *history.Model[layout.Addr]
 	byShard [][]layout.Addr
-	stats   Stats
+	stats   runStats
 }
 
 var harnessKey = []byte("chaos-matrix-key") // 16 bytes
 
 const valLen = 32
 
-// New opens a durable store under fault injection and recovers its pool.
-// The repair monitor runs hot (millisecond cadence, effectively no
-// breaker) so scenarios heal quickly once faults clear.
-func New(cfg Config) (*Harness, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 3
-	}
-	if cfg.PagesPerShard == 0 {
-		cfg.PagesPerShard = 4
-	}
-	if cfg.BaseFS == nil {
-		cfg.BaseFS = persist.OSFS()
-	}
-	ffs := WrapFS(cfg.BaseFS, cfg.Seed)
-	obsSvc := obs.NewService(cfg.Shards, obs.DefaultRingSize)
+// newHarness opens a durable store in dir under fault injection, seeded
+// by seed, and recovers its pool. The repair monitor runs hot
+// (millisecond cadence, effectively no breaker) so scenarios heal
+// quickly once faults clear.
+func newHarness(dir string, seed int64, logf func(string, ...any)) (*harness, error) {
+	ffs := wrapFS(seed)
+	obsSvc := obs.NewService(poolShards, obs.DefaultRingSize)
 	st, err := persist.Open(persist.Options{
-		Dir:              cfg.Dir,
+		Dir:              dir,
 		Key:              harnessKey,
 		Fsync:            persist.FsyncAlways,
 		FsyncInterval:    time.Hour, // no background flusher races in seeded runs
@@ -129,7 +109,7 @@ func New(cfg Config) (*Harness, error) {
 		RepairBackoff:    time.Millisecond,
 		RepairMaxBackoff: 8 * time.Millisecond,
 		RepairAttempts:   1_000_000,
-		Logf:             cfg.Logf,
+		Logf:             logf,
 		FS:               ffs,
 		Obs:              obsSvc,
 	})
@@ -137,9 +117,9 @@ func New(cfg Config) (*Harness, error) {
 		return nil, err
 	}
 	pool, _, err := st.Recover(shard.Config{
-		Shards: cfg.Shards,
+		Shards: poolShards,
 		Core: core.Config{
-			DataBytes:  uint64(cfg.Shards*cfg.PagesPerShard) * layout.PageSize,
+			DataBytes:  poolShards * pagesPerShard * layout.PageSize,
 			Key:        harnessKey,
 			Encryption: core.AISE,
 			Integrity:  core.BonsaiMT,
@@ -155,42 +135,37 @@ func New(cfg Config) (*Harness, error) {
 		st.Close()
 		return nil, err
 	}
-	return &Harness{
-		cfg:     cfg,
-		FS:      ffs,
-		Store:   st,
-		Pool:    pool,
-		Inj:     NewInjector(pool),
-		Obs:     obsSvc,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		model:   make(map[layout.Addr][][]byte),
-		byShard: make([][]layout.Addr, cfg.Shards),
+	return &harness{
+		dir:     dir,
+		logf:    logf,
+		fs:      ffs,
+		store:   st,
+		pool:    pool,
+		inj:     &injector{pool: pool},
+		obs:     obsSvc,
+		rng:     rand.New(rand.NewSource(seed)),
+		model:   history.New[layout.Addr](),
+		byShard: make([][]layout.Addr, poolShards),
 	}, nil
 }
 
-// Close tears the service down (pool drain + final WAL sync).
-func (h *Harness) Close() error {
-	err := h.Pool.Close()
-	if cerr := h.Store.Close(); err == nil {
+// close tears the service down (pool drain + final WAL sync).
+func (h *harness) close() error {
+	err := h.pool.Close()
+	if cerr := h.store.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// Stats returns the run's counters, folding in the pool's own.
-func (h *Harness) Stats() Stats {
+// runStats returns the run's counters, folding in the pool's own.
+func (h *harness) runStats() runStats {
 	s := h.stats
-	s.FSFaults = h.FS.Injected()
-	ps := h.Pool.Stats()
-	s.PoolFaults = ps.Faults
-	s.PoolRepairs = ps.Repairs
+	s.fsFaults = h.fs.injected()
+	ps := h.pool.Stats()
+	s.poolFaults = ps.Faults
+	s.poolRepairs = ps.Repairs
 	return s
-}
-
-func (h *Harness) logf(format string, args ...any) {
-	if h.cfg.Logf != nil {
-		h.cfg.Logf(format, args...)
-	}
 }
 
 func ctx10() (context.Context, context.CancelFunc) {
@@ -202,59 +177,54 @@ func ctx10() (context.Context, context.CancelFunc) {
 // plus a fresh trace ID, so every harness request lands a span in its
 // shard's trace ring. Trace IDs are sequential and therefore as
 // deterministic as the rest of the schedule.
-func (h *Harness) metaFor(addr layout.Addr) core.Meta {
+func (h *harness) metaFor(addr layout.Addr) core.Meta {
 	h.traceSeq++
 	return core.Meta{VirtAddr: uint64(addr), PID: 7, Trace: h.traceSeq}
 }
 
 // pickAddr returns a random block-aligned pool address on shard sh.
 // Pool page k of shard s is global page k*Shards+s.
-func (h *Harness) pickAddr(sh int) layout.Addr {
-	localPage := h.rng.Intn(h.cfg.PagesPerShard)
-	globalPage := localPage*h.cfg.Shards + sh
+func (h *harness) pickAddr(sh int) layout.Addr {
+	localPage := h.rng.Intn(pagesPerShard)
+	globalPage := localPage*poolShards + sh
 	block := h.rng.Intn(int(layout.BlocksPerPage))
 	return layout.Addr(globalPage)*layout.PageSize + layout.Addr(block)*layout.BlockSize
 }
 
 // localAddr converts a pool address to its shard-local address.
-func (h *Harness) localAddr(addr layout.Addr) layout.Addr {
+func (h *harness) localAddr(addr layout.Addr) layout.Addr {
 	page := uint64(addr) / layout.PageSize
-	local := (page/uint64(h.cfg.Shards))*layout.PageSize + uint64(addr)%layout.PageSize
+	local := (page/uint64(poolShards))*layout.PageSize + uint64(addr)%layout.PageSize
 	return layout.Addr(local)
 }
 
 // writeOne issues one random write to shard sh and records its outcome
-// in the model: an acked value replaces all candidates, a failed value
-// joins them (it may still surface after a repair). It returns the
-// address written alongside the write's outcome.
-func (h *Harness) writeOne(sh int) (layout.Addr, error) {
+// in the model. It returns the address written alongside the write's
+// outcome.
+func (h *harness) writeOne(sh int) (layout.Addr, error) {
 	addr := h.pickAddr(sh)
 	val := make([]byte, valLen)
 	h.rng.Read(val)
 	ctx, cancel := ctx10()
 	defer cancel()
-	err := h.Pool.Write(ctx, addr, val, h.metaFor(addr))
-	if _, known := h.model[addr]; !known {
+	err := h.pool.Write(ctx, addr, val, h.metaFor(addr))
+	if !h.model.Has(addr) {
 		h.byShard[sh] = append(h.byShard[sh], addr)
 	}
 	if err == nil {
-		h.stats.AckedWrites++
-		h.model[addr] = [][]byte{val}
+		h.stats.ackedWrites++
+		h.model.Ack(addr, val)
 	} else {
-		h.stats.FailedWrites++
-		if len(h.model[addr]) == 0 {
-			// Never written before: "not applied" reads back as zeros.
-			h.model[addr] = [][]byte{make([]byte, valLen)}
-		}
-		h.model[addr] = append(h.model[addr], val)
+		h.stats.failedWrites++
+		h.model.Fail(addr, val)
 	}
 	return addr, err
 }
 
 // burst writes n values spread across all shards; every write must ack.
-func (h *Harness) burst(n int) error {
+func (h *harness) burst(n int) error {
 	for i := 0; i < n; i++ {
-		if _, err := h.writeOne(i % h.cfg.Shards); err != nil {
+		if _, err := h.writeOne(i % poolShards); err != nil {
 			return fmt.Errorf("chaos: burst write failed with no fault armed: %w", err)
 		}
 	}
@@ -263,7 +233,7 @@ func (h *Harness) burst(n int) error {
 
 // modelAddrOn returns a model address on shard sh, writing one first if
 // none exists yet.
-func (h *Harness) modelAddrOn(sh int) (layout.Addr, error) {
+func (h *harness) modelAddrOn(sh int) (layout.Addr, error) {
 	if len(h.byShard[sh]) == 0 {
 		if _, err := h.writeOne(sh); err != nil {
 			return 0, err
@@ -272,30 +242,19 @@ func (h *Harness) modelAddrOn(sh int) (layout.Addr, error) {
 	return h.byShard[sh][h.rng.Intn(len(h.byShard[sh]))], nil
 }
 
-// CheckModel reads back every modeled address and verifies the value is
-// one of its candidates. Call it with all shards serving; any read
-// error or non-candidate value is an invariant violation.
-func (h *Harness) CheckModel() error {
-	for addr, cands := range h.model {
+// checkModel reads back every modeled address and checks it against
+// the history. Call it with all shards serving; any read error or
+// illegal value is an invariant violation.
+func (h *harness) checkModel() error {
+	n, err := h.model.Verify(func(addr layout.Addr) ([]byte, error) {
 		buf := make([]byte, valLen)
 		ctx, cancel := ctx10()
-		err := h.Pool.Read(ctx, addr, buf, h.metaFor(addr))
-		cancel()
-		if err != nil {
-			return fmt.Errorf("chaos: model read %#x: %w", addr, err)
-		}
-		h.stats.ModelReads++
-		ok := false
-		for _, c := range cands {
-			if bytes.Equal(buf, c) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("chaos: ACKED-WRITE LOSS at %#x: read %x, want one of %d candidate(s), acked %x",
-				addr, buf, len(cands), cands[0])
-		}
+		defer cancel()
+		return buf, h.pool.Read(ctx, addr, buf, h.metaFor(addr))
+	})
+	h.stats.modelReads += n
+	if err != nil {
+		return fmt.Errorf("chaos: model: %w", err)
 	}
 	return nil
 }
@@ -303,26 +262,26 @@ func (h *Harness) CheckModel() error {
 // expectDetected reads addr and requires the service to refuse it: a
 // tampered or quarantined error. Returning data — any data — after a
 // tamper is the one unforgivable outcome.
-func (h *Harness) expectDetected(addr layout.Addr) error {
+func (h *harness) expectDetected(addr layout.Addr) error {
 	buf := make([]byte, valLen)
 	ctx, cancel := ctx10()
 	defer cancel()
-	err := h.Pool.Read(ctx, addr, buf, h.metaFor(addr))
+	err := h.pool.Read(ctx, addr, buf, h.metaFor(addr))
 	if err == nil {
 		return fmt.Errorf("chaos: TAMPER SERVED: read of tampered %#x returned %x with no error", addr, buf)
 	}
 	if !errors.Is(err, core.ErrTampered) && !errors.Is(err, shard.ErrShardQuarantined) {
 		return fmt.Errorf("chaos: tampered read %#x failed with unexpected error: %w", addr, err)
 	}
-	h.stats.TampersDetected++
+	h.stats.tampersDetected++
 	return nil
 }
 
 // expectBystandersServe proves fault containment: every shard except
 // victim must ack a fresh write while the victim is latched or under
 // repair.
-func (h *Harness) expectBystandersServe(victim int) error {
-	for sh := 0; sh < h.cfg.Shards; sh++ {
+func (h *harness) expectBystandersServe(victim int) error {
+	for sh := 0; sh < poolShards; sh++ {
 		if sh == victim {
 			continue
 		}
@@ -333,12 +292,12 @@ func (h *Harness) expectBystandersServe(victim int) error {
 	return nil
 }
 
-// WaitAllServing blocks until every shard is back in StateServing.
-func (h *Harness) WaitAllServing(timeout time.Duration) error {
+// waitAllServing blocks until every shard is back in StateServing.
+func (h *harness) waitAllServing(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		all := true
-		for _, s := range h.Pool.ShardStates() {
+		for _, s := range h.pool.ShardStates() {
 			if s != shard.StateServing {
 				all = false
 				break
@@ -348,28 +307,28 @@ func (h *Harness) WaitAllServing(timeout time.Duration) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: shards not healed after %v: states %v", timeout, h.Pool.ShardStates())
+			return fmt.Errorf("chaos: shards not healed after %v: states %v", timeout, h.pool.ShardStates())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// Run executes one named scenario and checks its invariants.
-func (h *Harness) Run(scenario string) error {
-	h.stats.Scenarios++
-	victim := h.rng.Intn(h.cfg.Shards)
+// run executes one named scenario and checks its invariants.
+func (h *harness) run(scenario string) error {
+	h.stats.scenarios++
+	victim := h.rng.Intn(poolShards)
 	h.logf("scenario %s (victim shard %d)", scenario, victim)
 	switch scenario {
 	case "bitflip-data":
-		if err := h.burst(2 * h.cfg.Shards); err != nil {
+		if err := h.burst(2 * poolShards); err != nil {
 			return err
 		}
 		addr, err := h.modelAddrOn(victim)
 		if err != nil {
 			return err
 		}
-		h.stats.TampersInjected++
-		if err := h.Inj.BitflipData(victim, h.localAddr(addr), h.rng.Intn(valLen*8)); err != nil {
+		h.stats.tampersInjected++
+		if err := h.inj.bitflipData(victim, h.localAddr(addr), h.rng.Intn(valLen*8)); err != nil {
 			return err
 		}
 		if err := h.expectDetected(addr); err != nil {
@@ -379,7 +338,7 @@ func (h *Harness) Run(scenario string) error {
 			return err
 		}
 	case "bitflip-counter":
-		if err := h.burst(2 * h.cfg.Shards); err != nil {
+		if err := h.burst(2 * poolShards); err != nil {
 			return err
 		}
 		addr, err := h.modelAddrOn(victim)
@@ -389,8 +348,8 @@ func (h *Harness) Run(scenario string) error {
 		// One counter block per page under AISE; the victim page's
 		// counter block index is its shard-local page number.
 		localPage := int(uint64(h.localAddr(addr)) / layout.PageSize)
-		h.stats.TampersInjected++
-		if err := h.Inj.BitflipRegion(victim, "counters", localPage, h.rng.Intn(layout.BlockSize*8)); err != nil {
+		h.stats.tampersInjected++
+		if err := h.inj.bitflipRegion(victim, "counters", localPage, h.rng.Intn(layout.BlockSize*8)); err != nil {
 			return err
 		}
 		if err := h.expectDetected(addr); err != nil {
@@ -400,7 +359,7 @@ func (h *Harness) Run(scenario string) error {
 			return err
 		}
 	case "bitflip-treenode":
-		if err := h.burst(2 * h.cfg.Shards); err != nil {
+		if err := h.burst(2 * poolShards); err != nil {
 			return err
 		}
 		addr, err := h.modelAddrOn(victim)
@@ -417,8 +376,8 @@ func (h *Harness) Run(scenario string) error {
 		const nodeMACBytes = 16
 		localPage := int(uint64(h.localAddr(addr)) / layout.PageSize)
 		slotByte := localPage * nodeMACBytes
-		h.stats.TampersInjected++
-		if err := h.Inj.BitflipRegion(victim, "tree", slotByte/layout.BlockSize,
+		h.stats.tampersInjected++
+		if err := h.inj.bitflipRegion(victim, "tree", slotByte/layout.BlockSize,
 			(slotByte%layout.BlockSize)*8+h.rng.Intn(nodeMACBytes*8)); err != nil {
 			return err
 		}
@@ -429,10 +388,10 @@ func (h *Harness) Run(scenario string) error {
 			return err
 		}
 	case "rollback":
-		if err := h.burst(2 * h.cfg.Shards); err != nil {
+		if err := h.burst(2 * poolShards); err != nil {
 			return err
 		}
-		adv, err := h.Inj.Recorder(victim)
+		adv, err := h.inj.recorder(victim)
 		if err != nil {
 			return err
 		}
@@ -444,7 +403,7 @@ func (h *Harness) Run(scenario string) error {
 		if _, err := h.writeOne(victim); err != nil {
 			return fmt.Errorf("chaos: post-recording write: %w", err)
 		}
-		h.stats.TampersInjected++
+		h.stats.tampersInjected++
 		adv.ReplayAll()
 		if err := h.expectDetected(target); err != nil {
 			return err
@@ -453,50 +412,50 @@ func (h *Harness) Run(scenario string) error {
 			return err
 		}
 	case "wal-fault":
-		if err := h.burst(2 * h.cfg.Shards); err != nil {
+		if err := h.burst(2 * poolShards); err != nil {
 			return err
 		}
-		h.FS.Arm(FSFaults{PathSubstr: fmt.Sprintf("wal-%03d", victim), ErrRate: 1})
+		h.fs.arm(fsFaults{PathSubstr: fmt.Sprintf("wal-%03d", victim), ErrRate: 1})
 		// The append fails and so does the rewind (the device is gone):
 		// an unsafe durability fault that must quarantine this shard only.
 		if _, err := h.writeOne(victim); err == nil {
 			return fmt.Errorf("chaos: write acked while shard %d's WAL device was dead", victim)
 		}
-		if st := h.Pool.ShardStates()[victim]; st == shard.StateServing {
+		if st := h.pool.ShardStates()[victim]; st == shard.StateServing {
 			return fmt.Errorf("chaos: shard %d still serving after unsafe durability fault", victim)
 		}
 		if err := h.expectBystandersServe(victim); err != nil {
 			return err
 		}
-		h.FS.Disarm()
+		h.fs.disarm()
 	case "torn-append":
-		if err := h.burst(2 * h.cfg.Shards); err != nil {
+		if err := h.burst(2 * poolShards); err != nil {
 			return err
 		}
-		h.FS.Arm(FSFaults{PathSubstr: fmt.Sprintf("wal-%03d", victim), TornRate: 1})
+		h.fs.arm(fsFaults{PathSubstr: fmt.Sprintf("wal-%03d", victim), TornRate: 1})
 		// A torn append is rewound cleanly: the batch fails but the log
 		// still matches execution, so the shard must keep serving.
 		if _, err := h.writeOne(victim); err == nil {
 			return fmt.Errorf("chaos: write acked while shard %d's WAL tore every append", victim)
 		}
-		h.FS.Disarm()
-		if st := h.Pool.ShardStates()[victim]; st != shard.StateServing {
+		h.fs.disarm()
+		if st := h.pool.ShardStates()[victim]; st != shard.StateServing {
 			return fmt.Errorf("chaos: clean torn-append rewind latched shard %d into %s", victim, st)
 		}
 		if _, err := h.writeOne(victim); err != nil {
 			return fmt.Errorf("chaos: shard %d refused a write after the torn-append device recovered: %w", victim, err)
 		}
 	case "slow-io":
-		h.FS.Arm(FSFaults{SlowRate: 0.5, SlowDelay: 2 * time.Millisecond})
-		if err := h.burst(3 * h.cfg.Shards); err != nil {
+		h.fs.arm(fsFaults{SlowRate: 0.5, SlowDelay: 2 * time.Millisecond})
+		if err := h.burst(3 * poolShards); err != nil {
 			return fmt.Errorf("chaos: slow I/O must stall, never fail: %w", err)
 		}
-		h.FS.Disarm()
+		h.fs.disarm()
 	case "checkpoint":
-		if err := h.burst(h.cfg.Shards); err != nil {
+		if err := h.burst(poolShards); err != nil {
 			return err
 		}
-		if err := h.Store.Checkpoint(); err != nil {
+		if err := h.store.Checkpoint(); err != nil {
 			return fmt.Errorf("chaos: checkpoint on a healthy pool: %w", err)
 		}
 	case "tenant-swap-tamper":
@@ -518,9 +477,9 @@ func (h *Harness) Run(scenario string) error {
 	default:
 		return fmt.Errorf("chaos: unknown scenario %q", scenario)
 	}
-	if err := h.WaitAllServing(30 * time.Second); err != nil {
+	if err := h.waitAllServing(30 * time.Second); err != nil {
 		return err
 	}
-	h.stats.Heals++
-	return h.CheckModel()
+	h.stats.heals++
+	return h.checkModel()
 }

@@ -14,19 +14,14 @@ import (
 // completed repair swaps the shard's controller (and with it the memory
 // the old handle pointed at).
 
-// Injector tampers with a live pool's untrusted memory.
-type Injector struct {
+// injector tampers with a live pool's untrusted memory.
+type injector struct {
 	pool *shard.Pool
 }
 
-// NewInjector builds an injector over the pool.
-func NewInjector(pool *shard.Pool) *Injector {
-	return &Injector{pool: pool}
-}
-
-// BitflipData flips bit `bit` of the data block at shard-local address
+// bitflipData flips bit `bit` of the data block at shard-local address
 // local on shard sh — ciphertext corruption on the bus or DIMM.
-func (in *Injector) BitflipData(sh int, local layout.Addr, bit int) error {
+func (in *injector) bitflipData(sh int, local layout.Addr, bit int) error {
 	m := in.pool.UntrustedMemory(sh)
 	if m == nil {
 		return fmt.Errorf("chaos: shard %d has no memory handle", sh)
@@ -35,10 +30,10 @@ func (in *Injector) BitflipData(sh int, local layout.Addr, bit int) error {
 	return nil
 }
 
-// BitflipRegion flips bit `bit` of block blockIdx inside the named
+// bitflipRegion flips bit `bit` of block blockIdx inside the named
 // region ("counters", "datamacs", "tree", ...) of shard sh's memory —
 // metadata corruption rather than data corruption.
-func (in *Injector) BitflipRegion(sh int, region string, blockIdx int, bit int) error {
+func (in *injector) bitflipRegion(sh int, region string, blockIdx int, bit int) error {
 	m := in.pool.UntrustedMemory(sh)
 	if m == nil {
 		return fmt.Errorf("chaos: shard %d has no memory handle", sh)
@@ -57,12 +52,12 @@ func (in *Injector) BitflipRegion(sh int, region string, blockIdx int, bit int) 
 	return fmt.Errorf("chaos: shard %d has no region %q", sh, region)
 }
 
-// Recorder returns an adversary positioned over shard sh's current
+// recorder returns an adversary positioned over shard sh's current
 // memory, for record-then-replay rollback attacks. The recording spans
 // the whole shard memory — data, counters, MACs and tree nodes roll
 // back together, the strongest self-consistent rollback. The handle is
 // only valid until the next repair swaps the controller.
-func (in *Injector) Recorder(sh int) (*attack.Adversary, error) {
+func (in *injector) recorder(sh int) (*attack.Adversary, error) {
 	m := in.pool.UntrustedMemory(sh)
 	if m == nil {
 		return nil, fmt.Errorf("chaos: shard %d has no memory handle", sh)

@@ -9,7 +9,7 @@ import (
 	"aisebmt/internal/shard"
 )
 
-// VerifyObs holds the wired observability subsystem to the same bytes a
+// verifyObs holds the wired observability subsystem to the same bytes a
 // live /metrics scrape would serve. Call it after the matrix has run
 // (and healed — the one-hot state check expects every shard serving):
 //
@@ -22,12 +22,12 @@ import (
 //   - at least one traced write's span timeline covers the whole path:
 //     queue wait → crypto execution → WAL append → fsync. The store
 //     runs FsyncAlways, so a durable write must show every stage.
-func (h *Harness) VerifyObs() error {
+func (h *harness) verifyObs() error {
 	var buf bytes.Buffer
-	if err := h.Obs.WritePrometheus(&buf); err != nil {
+	if err := h.obs.WritePrometheus(&buf); err != nil {
 		return fmt.Errorf("chaos: render exposition: %w", err)
 	}
-	h.Pool.WriteMetrics(&buf)
+	h.pool.WriteMetrics(&buf)
 	text := buf.String()
 
 	if probs := obs.Lint(text, "secmemd_"); len(probs) > 0 {
@@ -36,17 +36,17 @@ func (h *Harness) VerifyObs() error {
 
 	samples := obs.ParseSamples(text)
 	quar := samples[`secmemd_shard_transitions_total{state="quarantined"}`]
-	if ps := h.Pool.Stats(); ps.Faults > 0 && quar == 0 {
+	if ps := h.pool.Stats(); ps.Faults > 0 && quar == 0 {
 		return fmt.Errorf("chaos: %d pool faults latched but no quarantined transition surfaced in metrics", ps.Faults)
 	}
-	for i := 0; i < h.cfg.Shards; i++ {
+	for i := 0; i < poolShards; i++ {
 		key := fmt.Sprintf(`secmemd_shard_state{shard="%d",state="serving"}`, i)
 		if samples[key] != 1 {
 			return fmt.Errorf("chaos: healed shard %d not one-hot serving in scrape (%s = %v)", i, key, samples[key])
 		}
 	}
 
-	recs := h.Obs.SnapshotTraces(nil)
+	recs := h.obs.SnapshotTraces(nil)
 	if len(recs) == 0 {
 		return fmt.Errorf("chaos: trace rings empty after a traced run")
 	}

@@ -1,34 +1,21 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"aisebmt/internal/core"
+	"aisebmt/internal/history"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/persist"
 	"aisebmt/internal/shard"
 	"aisebmt/internal/tenant"
 )
 
-// TenantScenarios are the multi-tenant fault schedules: they attack the
-// OS-visible substrate (address spaces, copy-on-write forks, swapped
-// pages on the attacker-owned disk) rather than the memory bus. Each
-// runs against a private in-memory pool so tenant frame allocation
-// cannot disturb the durable pool's shadow model; the usual end-of-run
-// invariants still hold on the durable pool afterwards.
-var TenantScenarios = []string{
-	"tenant-swap-tamper",     // corrupt a swapped-out page's counter block on disk
-	"tenant-fork-kill",       // destroy a tenant in the middle of a fork storm
-	"tenant-swap-pressure",   // working set ≫ resident budget, shadow-checked
-	"tenant-restart-recover", // power-cycle a tenant-durable store mid-churn
-}
-
 // nextTrace issues the next harness trace ID for a tenant request.
-func (h *Harness) nextTrace() uint64 {
+func (h *harness) nextTrace() uint64 {
 	h.traceSeq++
 	return h.traceSeq
 }
@@ -37,7 +24,7 @@ func (h *Harness) nextTrace() uint64 {
 // pool. Tenant scenarios cannot share h.Pool: the vm frame allocator
 // claims pool pages for tenant address spaces, and those frames would
 // collide with the durable model's addresses.
-func (h *Harness) tenantService(budget int) (*tenant.Service, *shard.Pool, error) {
+func (h *harness) tenantService(budget int) (*tenant.Service, *shard.Pool, error) {
 	pool, err := shard.New(shard.Config{
 		Shards: 2,
 		Core: core.Config{
@@ -55,36 +42,41 @@ func (h *Harness) tenantService(budget int) (*tenant.Service, *shard.Pool, error
 }
 
 // tenantVal draws a fresh random page payload from the schedule rng.
-func (h *Harness) tenantVal() []byte {
+func (h *harness) tenantVal() []byte {
 	val := make([]byte, valLen)
 	h.rng.Read(val)
 	return val
 }
 
-// tenantWrite writes val at the start of a tenant page and records the
-// ack; every acknowledged tenant write joins the scenario's shadow.
-func (h *Harness) tenantWrite(svc *tenant.Service, id uint32, page int, val []byte) error {
+// tenantWrite writes val at the start of a tenant page and, once it is
+// acknowledged, records it in the tenant's history m (when non-nil).
+func (h *harness) tenantWrite(svc *tenant.Service, id uint32, m *history.Model[int], page int, val []byte) error {
 	ctx, cancel := ctx10()
 	defer cancel()
 	if err := svc.Write(ctx, id, uint64(page)*layout.PageSize, val, h.nextTrace()); err != nil {
-		h.stats.FailedWrites++
+		h.stats.failedWrites++
 		return fmt.Errorf("chaos: tenant %d page %d write: %w", id, page, err)
 	}
-	h.stats.AckedWrites++
+	h.stats.ackedWrites++
+	if m != nil {
+		m.Ack(page, val)
+	}
 	return nil
 }
 
-// tenantExpect reads a tenant page and requires the shadow value back.
-func (h *Harness) tenantExpect(svc *tenant.Service, id uint32, page int, want []byte) error {
+// tenantRead reads one tenant page's value.
+func (h *harness) tenantRead(svc *tenant.Service, id uint32, page int) ([]byte, error) {
 	ctx, cancel := ctx10()
 	defer cancel()
-	got, err := svc.Read(ctx, id, uint64(page)*layout.PageSize, len(want), h.nextTrace())
-	if err != nil {
-		return fmt.Errorf("chaos: ACKED-WRITE LOSS: tenant %d page %d unreadable: %w", id, page, err)
-	}
-	h.stats.ModelReads++
-	if !bytes.Equal(got, want) {
-		return fmt.Errorf("chaos: ACKED-WRITE LOSS: tenant %d page %d read %x, want %x", id, page, got, want)
+	h.stats.modelReads++
+	return svc.Read(ctx, id, uint64(page)*layout.PageSize, valLen, h.nextTrace())
+}
+
+// tenantVerify reads back every page tenant id wrote and checks it
+// against the tenant's history.
+func (h *harness) tenantVerify(svc *tenant.Service, id uint32, m *history.Model[int]) error {
+	if _, err := m.Verify(func(page int) ([]byte, error) { return h.tenantRead(svc, id, page) }); err != nil {
+		return fmt.Errorf("chaos: tenant %d: %w", id, err)
 	}
 	return nil
 }
@@ -94,7 +86,7 @@ func (h *Harness) tenantExpect(svc *tenant.Service, id uint32, page int, want []
 // the Page Root Directory to refuse the swap-in — before any data block
 // decrypts — while the tenant's other pages and a bystander tenant keep
 // serving.
-func (h *Harness) runTenantSwapTamper() error {
+func (h *harness) runTenantSwapTamper() error {
 	svc, pool, err := h.tenantService(0)
 	if err != nil {
 		return err
@@ -112,16 +104,14 @@ func (h *Harness) runTenantSwapTamper() error {
 	if err != nil {
 		return fmt.Errorf("chaos: tenant create: %w", err)
 	}
-	h.stats.TenantsCreated += 2
-	vals := make([][]byte, npages)
-	for p := range vals {
-		vals[p] = h.tenantVal()
-		if err := h.tenantWrite(svc, victim, p, vals[p]); err != nil {
+	h.stats.tenantsCreated += 2
+	vm, bm := history.New[int](), history.New[int]()
+	for p := 0; p < npages; p++ {
+		if err := h.tenantWrite(svc, victim, vm, p, h.tenantVal()); err != nil {
 			return err
 		}
 	}
-	byVal := h.tenantVal()
-	if err := h.tenantWrite(svc, bystander, 0, byVal); err != nil {
+	if err := h.tenantWrite(svc, bystander, bm, 0, h.tenantVal()); err != nil {
 		return err
 	}
 
@@ -132,7 +122,7 @@ func (h *Harness) runTenantSwapTamper() error {
 	if err := svc.ForceSwapOut(ctx, victim, vaddr); err != nil {
 		return fmt.Errorf("chaos: force swap-out: %w", err)
 	}
-	h.stats.TenantSwaps++
+	h.stats.tenantSwaps++
 	slot := svc.SwapSlotOf(victim, vaddr)
 	if slot < 0 {
 		return fmt.Errorf("chaos: page %d not in swap after forced swap-out", page)
@@ -140,7 +130,7 @@ func (h *Harness) runTenantSwapTamper() error {
 	img := svc.Swap().Image(slot).Clone()
 	img.Counters[h.rng.Intn(len(img.Counters))] ^= 1 << h.rng.Intn(8)
 	svc.Swap().Tamper(slot, img)
-	h.stats.TampersInjected++
+	h.stats.tampersInjected++
 
 	buf, err := svc.Read(ctx, victim, vaddr, valLen, h.nextTrace())
 	if err == nil {
@@ -149,22 +139,26 @@ func (h *Harness) runTenantSwapTamper() error {
 	if !errors.Is(err, core.ErrTampered) {
 		return fmt.Errorf("chaos: tampered swap-in failed with unexpected error: %w", err)
 	}
-	h.stats.TampersDetected++
+	h.stats.tampersDetected++
 	if st := svc.Stats(); st.Cums.TamperRefused == 0 {
 		return fmt.Errorf("chaos: PRD refusal not visible in tenant counters: %+v", st.Cums)
 	}
 
 	// Containment: the tenant's resident pages and the bystander tenant
 	// still serve their acknowledged values.
-	for p := range vals {
+	for p := 0; p < npages; p++ {
 		if p == page {
 			continue
 		}
-		if err := h.tenantExpect(svc, victim, p, vals[p]); err != nil {
-			return err
+		got, err := h.tenantRead(svc, victim, p)
+		if err == nil {
+			err = vm.Check(p, got)
+		}
+		if err != nil {
+			return fmt.Errorf("chaos: tenant %d page %d: %w", victim, p, err)
 		}
 	}
-	if err := h.tenantExpect(svc, bystander, 0, byVal); err != nil {
+	if err := h.tenantVerify(svc, bystander, bm); err != nil {
 		return err
 	}
 	for _, id := range []uint32{victim, bystander} {
@@ -179,7 +173,7 @@ func (h *Harness) runTenantSwapTamper() error {
 // parent in the middle of it: every surviving descendant must keep its
 // own diverged view (fork-time snapshot plus its private writes), and
 // tearing everything down must return every frame and swap slot.
-func (h *Harness) runTenantForkKill() error {
+func (h *harness) runTenantForkKill() error {
 	svc, pool, err := h.tenantService(0)
 	if err != nil {
 		return err
@@ -193,14 +187,12 @@ func (h *Harness) runTenantForkKill() error {
 	if err != nil {
 		return fmt.Errorf("chaos: tenant create: %w", err)
 	}
-	h.stats.TenantsCreated++
-	views := map[uint32]map[int][]byte{parent: {}}
+	h.stats.tenantsCreated++
+	views := map[uint32]*history.Model[int]{parent: history.New[int]()}
 	for p := 0; p < npages; p++ {
-		val := h.tenantVal()
-		if err := h.tenantWrite(svc, parent, p, val); err != nil {
+		if err := h.tenantWrite(svc, parent, views[parent], p, h.tenantVal()); err != nil {
 			return err
 		}
-		views[parent][p] = val
 	}
 
 	// The storm: fork a live tenant, diverge one page in the child, and
@@ -213,19 +205,13 @@ func (h *Harness) runTenantForkKill() error {
 		if err != nil {
 			return fmt.Errorf("chaos: fork of %d: %w", src, err)
 		}
-		h.stats.TenantForks++
-		view := make(map[int][]byte, npages)
-		for p, v := range views[src] {
-			view[p] = v
-		}
-		views[child] = view
+		h.stats.tenantForks++
+		views[child] = views[src].Clone()
 		live = append(live, child)
 		diverge := h.rng.Intn(npages)
-		val := h.tenantVal()
-		if err := h.tenantWrite(svc, child, diverge, val); err != nil {
+		if err := h.tenantWrite(svc, child, views[child], diverge, h.tenantVal()); err != nil {
 			return err
 		}
-		view[diverge] = val
 
 		if i == 1 {
 			// Mid-storm kill: the parent dies while children still share
@@ -240,10 +226,8 @@ func (h *Harness) runTenantForkKill() error {
 
 	// Every survivor holds exactly its own view.
 	for _, id := range live {
-		for p := 0; p < npages; p++ {
-			if err := h.tenantExpect(svc, id, p, views[id][p]); err != nil {
-				return err
-			}
+		if err := h.tenantVerify(svc, id, views[id]); err != nil {
+			return err
 		}
 	}
 
@@ -271,8 +255,8 @@ type durableTenantStack struct {
 }
 
 // openDurableTenants boots (or recovers) a tenant-durable stack in dir.
-func (h *Harness) openDurableTenants(dir string) (*durableTenantStack, error) {
-	st, err := persist.Open(persist.Options{Dir: dir, Key: harnessKey, Fsync: persist.FsyncAlways, Logf: h.cfg.Logf})
+func (h *harness) openDurableTenants(dir string) (*durableTenantStack, error) {
+	st, err := persist.Open(persist.Options{Dir: dir, Key: harnessKey, Fsync: persist.FsyncAlways, Logf: h.logf})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: tenant store: %w", err)
 	}
@@ -314,8 +298,8 @@ func (s *durableTenantStack) crash() { s.pool.Close() }
 // refuse a destroyed tenant. A second crash is followed by a flipped
 // byte in the tenant journal: recovery must refuse fail-closed, and
 // succeed again once the byte is restored.
-func (h *Harness) runTenantRestartRecover() error {
-	dir := filepath.Join(h.cfg.Dir, fmt.Sprintf("tenant-rr-%d", h.nextTrace()))
+func (h *harness) runTenantRestartRecover() error {
+	dir := filepath.Join(h.dir, fmt.Sprintf("tenant-rr-%d", h.nextTrace()))
 	ctx, cancel := ctx10()
 	defer cancel()
 
@@ -326,44 +310,37 @@ func (h *Harness) runTenantRestartRecover() error {
 	svc := gen1.svc
 
 	// Generation 1: create/write/fork/share/swap/destroy churn, every ack
-	// recorded in the shadow.
+	// recorded in its tenant's history.
 	const npages = 3
-	shadow := map[uint32]map[int][]byte{}
+	shadow := map[uint32]*history.Model[int]{}
 	a, err := svc.Create(ctx, npages, h.nextTrace())
 	if err != nil {
 		return fmt.Errorf("chaos: tenant create: %w", err)
 	}
-	shadow[a] = map[int][]byte{}
+	shadow[a] = history.New[int]()
 	for p := 0; p < npages; p++ {
-		val := h.tenantVal()
-		if err := h.tenantWrite(svc, a, p, val); err != nil {
+		if err := h.tenantWrite(svc, a, shadow[a], p, h.tenantVal()); err != nil {
 			return err
 		}
-		shadow[a][p] = val
 	}
 	b, err := svc.Fork(ctx, a, h.nextTrace())
 	if err != nil {
 		return fmt.Errorf("chaos: tenant fork: %w", err)
 	}
-	h.stats.TenantForks++
-	shadow[b] = map[int][]byte{}
-	for p, v := range shadow[a] {
-		shadow[b][p] = v
-	}
-	diverge := h.tenantVal()
-	if err := h.tenantWrite(svc, b, 1, diverge); err != nil {
+	h.stats.tenantForks++
+	shadow[b] = shadow[a].Clone()
+	if err := h.tenantWrite(svc, b, shadow[b], 1, h.tenantVal()); err != nil {
 		return err
 	}
-	shadow[b][1] = diverge
 	c, err := svc.Create(ctx, 2, h.nextTrace())
 	if err != nil {
 		return fmt.Errorf("chaos: tenant create: %w", err)
 	}
-	shadow[c] = map[int][]byte{0: h.tenantVal()}
-	if err := h.tenantWrite(svc, c, 0, shadow[c][0]); err != nil {
+	shadow[c] = history.New[int]()
+	if err := h.tenantWrite(svc, c, shadow[c], 0, h.tenantVal()); err != nil {
 		return err
 	}
-	h.stats.TenantsCreated += 3
+	h.stats.tenantsCreated += 3
 	// Share a's page 0 into c at page 4 (growing c), then write the page
 	// through c: both sides must read the same bytes after recovery.
 	const sharedPage = 4
@@ -371,22 +348,22 @@ func (h *Harness) runTenantRestartRecover() error {
 		return fmt.Errorf("chaos: tenant map: %w", err)
 	}
 	sharedVal := h.tenantVal()
-	if err := h.tenantWrite(svc, c, sharedPage, sharedVal); err != nil {
+	if err := h.tenantWrite(svc, c, shadow[c], sharedPage, sharedVal); err != nil {
 		return err
 	}
-	shadow[a][0], shadow[c][sharedPage] = sharedVal, sharedVal
+	shadow[a].Ack(0, sharedVal) // the alias
 	// A page parked in swap at crash time, and a tenant destroyed before
 	// it — both journal record classes must recover.
 	if err := svc.ForceSwapOut(ctx, a, 2*layout.PageSize); err != nil {
 		return fmt.Errorf("chaos: force swap-out: %w", err)
 	}
-	h.stats.TenantSwaps++
+	h.stats.tenantSwaps++
 	gone, err := svc.Create(ctx, 1, h.nextTrace())
 	if err != nil {
 		return fmt.Errorf("chaos: tenant create: %w", err)
 	}
-	h.stats.TenantsCreated++
-	if err := h.tenantWrite(svc, gone, 0, h.tenantVal()); err != nil {
+	h.stats.tenantsCreated++
+	if err := h.tenantWrite(svc, gone, nil, 0, h.tenantVal()); err != nil {
 		return err
 	}
 	if err := svc.Destroy(ctx, gone, h.nextTrace()); err != nil {
@@ -402,11 +379,9 @@ func (h *Harness) runTenantRestartRecover() error {
 		return fmt.Errorf("chaos: ACKED-WRITE LOSS: restart after tenant churn: %w", err)
 	}
 	svc = gen2.svc
-	for id, pages := range shadow {
-		for p, want := range pages {
-			if err := h.tenantExpect(svc, id, p, want); err != nil {
-				return err
-			}
+	for id, m := range shadow {
+		if err := h.tenantVerify(svc, id, m); err != nil {
+			return fmt.Errorf("chaos: restart after tenant churn: %w", err)
 		}
 	}
 	if _, err := svc.Read(ctx, gone, 0, valLen, h.nextTrace()); err == nil {
@@ -419,11 +394,11 @@ func (h *Harness) runTenantRestartRecover() error {
 	// The alias is structural, not just byte-identical: a fresh write
 	// through a must surface through c.
 	alias := h.tenantVal()
-	if err := h.tenantWrite(svc, a, 0, alias); err != nil {
+	if err := h.tenantWrite(svc, a, shadow[a], 0, alias); err != nil {
 		return err
 	}
-	shadow[a][0], shadow[c][sharedPage] = alias, alias
-	if err := h.tenantExpect(svc, c, sharedPage, alias); err != nil {
+	shadow[c].Ack(sharedPage, alias)
+	if err := h.tenantVerify(svc, c, shadow[c]); err != nil {
 		return err
 	}
 
@@ -441,13 +416,13 @@ func (h *Harness) runTenantRestartRecover() error {
 	if err := os.WriteFile(walPath, raw, 0o600); err != nil {
 		return err
 	}
-	h.stats.TampersInjected++
+	h.stats.tampersInjected++
 	if _, err := h.openDurableTenants(dir); err == nil {
 		return fmt.Errorf("chaos: TAMPER SERVED: tampered tenant journal recovered")
 	} else if !errors.Is(err, persist.ErrTenantTampered) {
 		return fmt.Errorf("chaos: tampered tenant journal refused with unexpected error: %w", err)
 	}
-	h.stats.TampersDetected++
+	h.stats.tampersDetected++
 	raw[flip] ^= bit
 	if err := os.WriteFile(walPath, raw, 0o600); err != nil {
 		return err
@@ -457,11 +432,9 @@ func (h *Harness) runTenantRestartRecover() error {
 		return fmt.Errorf("chaos: untampered journal refused: %w", err)
 	}
 	svc = gen3.svc
-	for id, pages := range shadow {
-		for p, want := range pages {
-			if err := h.tenantExpect(svc, id, p, want); err != nil {
-				return err
-			}
+	for id, m := range shadow {
+		if err := h.tenantVerify(svc, id, m); err != nil {
+			return err
 		}
 	}
 	for _, id := range []uint32{a, b, c} {
@@ -480,7 +453,7 @@ func (h *Harness) runTenantRestartRecover() error {
 // more than triple the resident budget, so the pressure controller swaps
 // continuously, then sweeps every page back against the shadow of its
 // last acknowledged write. Zero acked-write loss is the invariant.
-func (h *Harness) runTenantSwapPressure() error {
+func (h *harness) runTenantSwapPressure() error {
 	const budget, npages, generations = 6, 10, 3
 	svc, pool, err := h.tenantService(budget)
 	if err != nil {
@@ -491,22 +464,20 @@ func (h *Harness) runTenantSwapPressure() error {
 	defer cancel()
 
 	ids := make([]uint32, 2)
-	shadow := map[uint32]map[int][]byte{}
+	shadow := map[uint32]*history.Model[int]{}
 	for i := range ids {
 		if ids[i], err = svc.Create(ctx, npages, h.nextTrace()); err != nil {
 			return fmt.Errorf("chaos: tenant create: %w", err)
 		}
-		h.stats.TenantsCreated++
-		shadow[ids[i]] = map[int][]byte{}
+		h.stats.tenantsCreated++
+		shadow[ids[i]] = history.New[int]()
 	}
 	for gen := 0; gen < generations; gen++ {
 		for _, id := range ids {
 			for p := 0; p < npages; p++ {
-				val := h.tenantVal()
-				if err := h.tenantWrite(svc, id, p, val); err != nil {
+				if err := h.tenantWrite(svc, id, shadow[id], p, h.tenantVal()); err != nil {
 					return err
 				}
-				shadow[id][p] = val
 			}
 		}
 	}
@@ -518,15 +489,13 @@ func (h *Harness) runTenantSwapPressure() error {
 	if st.SwappedPages == 0 || st.VM.SwapOuts == 0 {
 		return fmt.Errorf("chaos: pressure never swapped (stats %+v)", st)
 	}
-	h.stats.TenantSwaps += int(st.VM.SwapOuts)
+	h.stats.tenantSwaps += int(st.VM.SwapOuts)
 
 	// The sweep faults every page back in; each must carry the last
 	// value its write acknowledged.
 	for _, id := range ids {
-		for p := 0; p < npages; p++ {
-			if err := h.tenantExpect(svc, id, p, shadow[id][p]); err != nil {
-				return err
-			}
+		if err := h.tenantVerify(svc, id, shadow[id]); err != nil {
+			return err
 		}
 	}
 	for _, id := range ids {

@@ -1,16 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"aisebmt/internal/core"
+	"aisebmt/internal/history"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/persist"
 	"aisebmt/internal/server"
@@ -39,8 +42,9 @@ func testShardCfg() shard.Config {
 
 // world simulates the network's failure modes for a test cluster: nodes
 // marked down refuse probes and dials, and cut pairs model a partition.
-// The data plane is real loopback TCP; only probe/dial decisions and
-// listener lifecycle are intercepted.
+// The data plane is real loopback TCP; probe and dial decisions,
+// connections dialed through the world and listener lifecycle are
+// intercepted.
 type world struct {
 	mu     sync.Mutex
 	down   map[string]bool
@@ -91,7 +95,37 @@ func (w *world) dial(from, addr string) (net.Conn, error) {
 	if toID != "" && w.blocked(from, toID) {
 		return nil, fmt.Errorf("dial: %s unreachable from %s", toID, from)
 	}
-	return net.DialTimeout("tcp", addr, 2*time.Second)
+	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil || toID == "" {
+		return c, err
+	}
+	return &cutConn{Conn: c, w: w, from: from, to: toID}, nil
+}
+
+// cutConn makes an established connection honor partitions: once the
+// pair is cut, its I/O fails — a replication stream riding a
+// pre-partition connection must stall as the real network would stall
+// it, not keep acknowledging through the cut.
+type cutConn struct {
+	net.Conn
+	w        *world
+	from, to string
+}
+
+func (c *cutConn) Read(p []byte) (int, error) {
+	if c.w.blocked(c.from, c.to) {
+		c.Conn.Close()
+		return 0, fmt.Errorf("%s->%s cut", c.from, c.to)
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if c.w.blocked(c.from, c.to) {
+		c.Conn.Close()
+		return 0, fmt.Errorf("%s->%s cut", c.from, c.to)
+	}
+	return c.Conn.Write(p)
 }
 
 // trackListener lets the harness sever every accepted connection at
@@ -227,13 +261,34 @@ func (tc *testCluster) boot(m Member, wireLn, replLn net.Listener, proxy bool, i
 }
 
 // kill crashes a member: listeners and live connections sever, probes
-// and dials to it fail, nothing is flushed or closed gracefully.
+// and dials to it fail, and then its pools and stores stop, with no
+// checkpoint and no graceful handoff. Stopping them is still a crash:
+// every member runs FsyncAlways, so a store's Close makes durable nothing
+// that a crash just after its last sync would not have kept.
 func (tc *testCluster) kill(id string) {
 	n := tc.nodes[id]
 	n.dead = true
 	tc.w.setDown(id, true)
 	n.node.Halt()
 	n.wireLn.kill()
+	nd := n.node
+	nd.mu.Lock()
+	sbs, prs := nd.standbys, nd.promoted
+	nd.mu.Unlock()
+	for _, sb := range sbs {
+		sb.pool.Close()
+	}
+	for _, pr := range prs {
+		pr.pool.Close()
+		pr.store.Close()
+	}
+	for len(nd.reap) > 0 {
+		it := <-nd.reap
+		it.pr.pool.Close()
+		it.pr.store.Close()
+	}
+	nd.cfg.Pool.Close()
+	n.store.Close()
 }
 
 func (tc *testCluster) shutdown() {
@@ -245,6 +300,34 @@ func (tc *testCluster) shutdown() {
 		n.srv.Shutdown(ctx)
 		cancel()
 		n.store.Close()
+	}
+	tc.checkNoMembersLeft()
+}
+
+// checkNoMembersLeft fails the test if a pool worker or a store's repair
+// loop outlives the cluster: a member the world killed or shut down must
+// stop every goroutine it ran.
+func (tc *testCluster) checkNoMembersLeft() {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		for {
+			if n := runtime.Stack(buf, true); n < len(buf) {
+				buf = buf[:n]
+				break
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+		workers := bytes.Count(buf, []byte("shard.(*Pool).worker("))
+		repairs := bytes.Count(buf, []byte("persist.(*Store).repairLoop("))
+		if workers+repairs == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			tc.t.Errorf("%d pool worker and %d store repair goroutines outlived the cluster", workers, repairs)
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -285,6 +368,54 @@ func fillByte(addr layout.Addr, v byte) []byte {
 		b[i] = v ^ byte(addr>>6)
 	}
 	return b
+}
+
+// firstPages lists pages 0 through n-1.
+func firstPages(n uint64) []uint64 {
+	out := make([]uint64, n)
+	for p := range out {
+		out[p] = uint64(p)
+	}
+	return out
+}
+
+// regClient is the read/write surface SmartClient and a plain
+// server.Client share.
+type regClient interface {
+	Write(a layout.Addr, data []byte, meta core.Meta) error
+	Read(a layout.Addr, n int, meta core.Meta) ([]byte, error)
+}
+
+// writePages writes fillByte(a, tag^p) to block p%4 of each page through
+// c, retrying unavailability for up to budget, and records every ack in
+// acked.
+func writePages(t *testing.T, c regClient, acked *history.Model[layout.Addr], pages []uint64, tag byte, budget time.Duration) {
+	t.Helper()
+	for _, p := range pages {
+		a := blockAddr(p, int(p)%4)
+		v := fillByte(a, tag^byte(p))
+		if err := retry(budget, func() error { return c.Write(a, v, core.Meta{}) }); err != nil {
+			t.Fatalf("write page %d: %v", p, err)
+		}
+		acked.Ack(a, v)
+	}
+}
+
+// checkAcked reads every written address back through c and fails the
+// test on a read error or an acknowledged write lost. A non-zero wait
+// retries unavailability for that long before a read counts as failed.
+func checkAcked(t *testing.T, c regClient, acked *history.Model[layout.Addr], wait time.Duration, when string) {
+	t.Helper()
+	_, err := acked.Verify(func(a layout.Addr) (got []byte, err error) {
+		read := func() error { got, err = c.Read(a, layout.BlockSize, core.Meta{}); return err }
+		if wait == 0 {
+			return got, read()
+		}
+		return got, retry(wait, read)
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
 }
 
 // TestClusterReplicatedWrites: a 3-node cluster serves the full address
@@ -390,19 +521,8 @@ func TestClusterFailover(t *testing.T) {
 	c := tc.client()
 	ring := NewRing([]string{"n1", "n2", "n3"})
 
-	// Shadow model: last acknowledged value per address.
-	acked := map[layout.Addr]byte{}
-	writeAll := func(tag byte, budget time.Duration) {
-		for p := uint64(0); p < 16; p++ {
-			a := blockAddr(p, int(p)%4)
-			v := tag ^ byte(p)
-			if err := retry(budget, func() error { return c.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-				t.Fatalf("write page %d: %v", p, err)
-			}
-			acked[a] = v
-		}
-	}
-	writeAll(0x10, 5*time.Second)
+	acked := history.New[layout.Addr]()
+	writePages(t, c, acked, firstPages(16), 0x10, 5*time.Second)
 
 	victim := ring.OwnerPage(0)
 	tc.kill(victim)
@@ -415,24 +535,13 @@ func TestClusterFailover(t *testing.T) {
 	if err := retry(10*time.Second, func() error { return c.Write(a0, fillByte(a0, 0x77), core.Meta{}) }); err != nil {
 		t.Fatalf("write to dead owner's range never recovered: %v", err)
 	}
-	acked[a0] = 0x77
+	acked.Ack(a0, fillByte(a0, 0x77))
 	t.Logf("recovery to first byte: %s", time.Since(start))
 
-	// Full sweep under the new topology, then verify the shadow model:
-	// zero acknowledged writes lost.
-	writeAll(0x20, 10*time.Second)
-	for a, v := range acked {
-		got, err := c.Read(a, layout.BlockSize, core.Meta{})
-		if err != nil {
-			t.Fatalf("read %#x after failover: %v", uint64(a), err)
-		}
-		want := fillByte(a, v)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("addr %#x byte %d: got %#x want %#x — acked write lost", uint64(a), i, got[i], want[i])
-			}
-		}
-	}
+	// Full sweep under the new topology, then check the history: zero
+	// acknowledged writes lost.
+	writePages(t, c, acked, firstPages(16), 0x20, 10*time.Second)
+	checkAcked(t, c, acked, 0, "after failover")
 
 	// Exactly one surviving node promoted the victim's range.
 	promotions := 0

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aisebmt/internal/core"
+	"aisebmt/internal/history"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/persist"
 	"aisebmt/internal/server"
@@ -142,16 +143,8 @@ func TestLifecycleRereplAfterFailover(t *testing.T) {
 	c := tc.client()
 	lineages := []string{"n1", "n2", "n3"}
 	ring := NewRing(lineages)
-	acked := map[layout.Addr]byte{}
-
-	for p := uint64(0); p < 16; p++ {
-		a := blockAddr(p, int(p)%4)
-		v := byte(0x30) ^ byte(p)
-		if err := retry(5*time.Second, func() error { return c.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-			t.Fatalf("write page %d: %v", p, err)
-		}
-		acked[a] = v
-	}
+	acked := history.New[layout.Addr]()
+	writePages(t, c, acked, firstPages(16), 0x30, 5*time.Second)
 
 	victim := ring.OwnerPage(0)
 	succ := tc.lineageSuccessors(victim)
@@ -162,7 +155,7 @@ func TestLifecycleRereplAfterFailover(t *testing.T) {
 	if err := retry(10*time.Second, func() error { return c.Write(a0, fillByte(a0, 0x71), core.Meta{}) }); err != nil {
 		t.Fatalf("victim range never recovered: %v", err)
 	}
-	acked[a0] = 0x71
+	acked.Ack(a0, fillByte(a0, 0x71))
 
 	// The promoted range re-replicates: the promoter's stream attaches a
 	// standby for the victim's lineage on the remaining member.
@@ -176,23 +169,8 @@ func TestLifecycleRereplAfterFailover(t *testing.T) {
 	}
 
 	// Writes keep flowing synchronously and nothing acknowledged is lost.
-	for p := uint64(0); p < 16; p++ {
-		a := blockAddr(p, int(p)%4)
-		v := byte(0x40) ^ byte(p)
-		if err := retry(10*time.Second, func() error { return c.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-			t.Fatalf("post-failover write page %d: %v", p, err)
-		}
-		acked[a] = v
-	}
-	for a, v := range acked {
-		got, err := c.Read(a, layout.BlockSize, core.Meta{})
-		if err != nil {
-			t.Fatalf("read %#x: %v", uint64(a), err)
-		}
-		if want := fillByte(a, v); got[0] != want[0] {
-			t.Fatalf("addr %#x: got %#x want %#x — acked write lost", uint64(a), got[0], want[0])
-		}
-	}
+	writePages(t, c, acked, firstPages(16), 0x40, 10*time.Second)
+	checkAcked(t, c, acked, 0, "after re-replication")
 }
 
 // TestLifecycleRereplSurvivesStandbyDeath: kill the member that received
@@ -203,20 +181,10 @@ func TestLifecycleRereplSurvivesStandbyDeath(t *testing.T) {
 	c := tc.client()
 	lineages := []string{"n1", "n2", "n3", "n4"}
 	ring := NewRing(lineages)
-	acked := map[layout.Addr]byte{}
+	acked := history.New[layout.Addr]()
 
 	victimPages := pagesOwnedBy(lineages, ring.OwnerPage(0), 16)
-	writeVictim := func(tag byte, budget time.Duration) {
-		for _, p := range victimPages {
-			a := blockAddr(p, int(p)%4)
-			v := tag ^ byte(p)
-			if err := retry(budget, func() error { return c.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-				t.Fatalf("write page %d: %v", p, err)
-			}
-			acked[a] = v
-		}
-	}
-	writeVictim(0x50, 5*time.Second)
+	writePages(t, c, acked, victimPages, 0x50, 5*time.Second)
 
 	victim := ring.OwnerPage(0)
 	promoter := tc.lineageSuccessors(victim)[0]
@@ -226,7 +194,7 @@ func TestLifecycleRereplSurvivesStandbyDeath(t *testing.T) {
 	if err := retry(10*time.Second, func() error { return c.Write(a0, fillByte(a0, 0x51), core.Meta{}) }); err != nil {
 		t.Fatalf("victim range never recovered: %v", err)
 	}
-	acked[a0] = 0x51
+	acked.Ack(a0, fillByte(a0, 0x51))
 
 	// The standby for the promoted range lands on the promoter's first
 	// live successor. Kill it — mid-re-replication from the cluster's
@@ -253,18 +221,10 @@ func TestLifecycleRereplSurvivesStandbyDeath(t *testing.T) {
 	// An attached stream only notices its peer died when it ships a
 	// segment, so keep writing: the writes stall retryably over the break
 	// and resume once the stream re-attaches on the survivor.
-	writeVictim(0x60, 20*time.Second)
+	writePages(t, c, acked, victimPages, 0x60, 20*time.Second)
 	waitFor(t, 15*time.Second, func() bool { return tc.nodes[survivor].node.holdsStandby(victim) },
 		fmt.Sprintf("re-replication stream never re-attached on %s", survivor))
-	for a, v := range acked {
-		got, err := c.Read(a, layout.BlockSize, core.Meta{})
-		if err != nil {
-			t.Fatalf("read %#x: %v", uint64(a), err)
-		}
-		if want := fillByte(a, v); got[0] != want[0] {
-			t.Fatalf("addr %#x: got %#x want %#x — acked write lost", uint64(a), got[0], want[0])
-		}
-	}
+	checkAcked(t, c, acked, 0, "after the standby holder died")
 }
 
 // TestLifecycleRereplPlacementRevert: a re-replication standby that
@@ -280,18 +240,8 @@ func TestLifecycleRereplPlacementRevert(t *testing.T) {
 	c := tc.client()
 	lineages := []string{"n1", "n2", "n3", "n4"}
 	ring := NewRing(lineages)
-	acked := map[layout.Addr]byte{}
-	writeAll := func(tag byte, budget time.Duration) {
-		for p := uint64(0); p < 16; p++ {
-			a := blockAddr(p, int(p)%4)
-			v := tag ^ byte(p)
-			if err := retry(budget, func() error { return c.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-				t.Fatalf("write page %d: %v", p, err)
-			}
-			acked[a] = v
-		}
-	}
-	writeAll(0x10, 5*time.Second)
+	acked := history.New[layout.Addr]()
+	writePages(t, c, acked, firstPages(16), 0x10, 5*time.Second)
 
 	victim := ring.OwnerPage(0)
 	promoter := tc.lineageSuccessors(victim)[0]
@@ -318,7 +268,7 @@ func TestLifecycleRereplPlacementRevert(t *testing.T) {
 	if err := retry(10*time.Second, func() error { return c.Write(a0, fillByte(a0, 0x71), core.Meta{}) }); err != nil {
 		t.Fatalf("victim range never recovered: %v", err)
 	}
-	acked[a0] = 0x71
+	acked.Ack(a0, fillByte(a0, 0x71))
 	waitFor(t, 10*time.Second, func() bool { return tc.nodes[fallback].node.holdsStandby(victim) },
 		fmt.Sprintf("standby for %s never landed on fallback %s", victim, fallback))
 	// The re-evaluation tick only moves an *attached* stream (a detached
@@ -340,7 +290,7 @@ func TestLifecycleRereplPlacementRevert(t *testing.T) {
 	}
 	// Writes keep flowing while the stream re-baselines on the preferred
 	// member, and the fallback's stale copy is reaped by its monitor.
-	writeAll(0x20, 20*time.Second)
+	writePages(t, c, acked, firstPages(16), 0x20, 20*time.Second)
 	waitFor(t, 15*time.Second, func() bool { return tc.nodes[preferred].node.holdsStandby(victim) },
 		fmt.Sprintf("standby for %s never moved to preferred successor %s", victim, preferred))
 	if got := pn.node.met.rereplMoves.Load(); got == 0 {
@@ -349,15 +299,7 @@ func TestLifecycleRereplPlacementRevert(t *testing.T) {
 	waitFor(t, 15*time.Second, func() bool { return !tc.nodes[fallback].node.holdsStandby(victim) },
 		fmt.Sprintf("stale standby on fallback %s never reaped", fallback))
 
-	for a, v := range acked {
-		got, err := c.Read(a, layout.BlockSize, core.Meta{})
-		if err != nil {
-			t.Fatalf("read %#x: %v", uint64(a), err)
-		}
-		if want := fillByte(a, v); got[0] != want[0] {
-			t.Fatalf("addr %#x: got %#x want %#x — acked write lost in the placement move", uint64(a), got[0], want[0])
-		}
-	}
+	checkAcked(t, c, acked, 0, "after the placement move")
 }
 
 // TestLifecycleJoinLeave: a member joins through the admin op and a
@@ -368,18 +310,8 @@ func TestLifecycleJoinLeave(t *testing.T) {
 	tc := startCluster(t, 3, false)
 	c := tc.client()
 	lineages := []string{"n1", "n2", "n3"}
-	acked := map[layout.Addr]byte{}
-	writeAll := func(tag byte, budget time.Duration) {
-		for p := uint64(0); p < 16; p++ {
-			a := blockAddr(p, int(p)%4)
-			v := tag ^ byte(p)
-			if err := retry(budget, func() error { return c.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-				t.Fatalf("write page %d: %v", p, err)
-			}
-			acked[a] = v
-		}
-	}
-	writeAll(0x10, 5*time.Second)
+	acked := history.New[layout.Addr]()
+	writePages(t, c, acked, firstPages(16), 0x10, 5*time.Second)
 
 	j := tc.join("n9", "n2")
 	if j.node.selfLineage != "" {
@@ -400,7 +332,7 @@ func TestLifecycleJoinLeave(t *testing.T) {
 		t.Fatal("joiner acknowledged a write for a range it does not serve")
 	}
 	cl.Close()
-	writeAll(0x20, 5*time.Second)
+	writePages(t, c, acked, firstPages(16), 0x20, 5*time.Second)
 
 	// n1 retires: every range it serves moves through a verified handoff.
 	leaver := tc.nodes["n1"]
@@ -421,16 +353,8 @@ func TestLifecycleJoinLeave(t *testing.T) {
 	t.Logf("lineage n1 handed to %s; final epoch %d", newHolder, final.Epoch)
 
 	// The retired shell redirects, the new holder serves, nothing is lost.
-	writeAll(0x30, 10*time.Second)
-	for a, v := range acked {
-		got, err := c.Read(a, layout.BlockSize, core.Meta{})
-		if err != nil {
-			t.Fatalf("read %#x after leave: %v", uint64(a), err)
-		}
-		if want := fillByte(a, v); got[0] != want[0] {
-			t.Fatalf("addr %#x: got %#x want %#x — acked write lost in handoff", uint64(a), got[0], want[0])
-		}
-	}
+	writePages(t, c, acked, firstPages(16), 0x30, 10*time.Second)
+	checkAcked(t, c, acked, 0, "after the leave")
 
 	// The removed ID is burned: booting it again is refused.
 	leaver.dead = true
@@ -472,18 +396,8 @@ func TestLifecycleJoinerDeathMidHandoff(t *testing.T) {
 	}
 	tc := startCluster(t, 3, false)
 	c := tc.client()
-	acked := map[layout.Addr]byte{}
-	writeAll := func(tag byte, budget time.Duration) {
-		for p := uint64(0); p < 16; p++ {
-			a := blockAddr(p, int(p)%4)
-			v := tag ^ byte(p)
-			if err := retry(budget, func() error { return c.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-				t.Fatalf("write page %d: %v", p, err)
-			}
-			acked[a] = v
-		}
-	}
-	writeAll(0x10, 5*time.Second)
+	acked := history.New[layout.Addr]()
+	writePages(t, c, acked, firstPages(16), 0x10, 5*time.Second)
 
 	tc.join("n9", "n1")
 	// Cut the holder off from the joiner, then kill the joiner outright
@@ -513,16 +427,8 @@ func TestLifecycleJoinerDeathMidHandoff(t *testing.T) {
 
 	// The holder resumes: its stream re-attaches to a real successor and
 	// every acknowledged write is still there.
-	writeAll(0x20, 15*time.Second)
-	for a, v := range acked {
-		got, err := c.Read(a, layout.BlockSize, core.Meta{})
-		if err != nil {
-			t.Fatalf("read %#x: %v", uint64(a), err)
-		}
-		if want := fillByte(a, v); got[0] != want[0] {
-			t.Fatalf("addr %#x: got %#x want %#x", uint64(a), got[0], want[0])
-		}
-	}
+	writePages(t, c, acked, firstPages(16), 0x20, 15*time.Second)
+	checkAcked(t, c, acked, 0, "after the aborted handoff")
 }
 
 // TestLifecycleFencedRejoin: a deposed member restarts on its stale data
@@ -534,28 +440,18 @@ func TestLifecycleFencedRejoin(t *testing.T) {
 	c := tc.client()
 	lineages := []string{"n1", "n2", "n3"}
 	ring := NewRing(lineages)
-	acked := map[layout.Addr]byte{}
+	acked := history.New[layout.Addr]()
 
 	victim := ring.OwnerPage(0)
 	succ := tc.lineageSuccessors(victim)
 	promoter, third := succ[0], succ[1]
 	victimPages := pagesOwnedBy(lineages, victim, 16)
 	promoterPages := pagesOwnedBy(lineages, promoter, 16)
-	writePages := func(pages []uint64, tag byte, budget time.Duration) {
-		for _, p := range pages {
-			a := blockAddr(p, int(p)%4)
-			v := tag ^ byte(p)
-			if err := retry(budget, func() error { return c.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-				t.Fatalf("write page %d: %v", p, err)
-			}
-			acked[a] = v
-		}
-	}
-	writePages(victimPages, 0x11, 5*time.Second)
-	writePages(promoterPages, 0x12, 5*time.Second)
+	writePages(t, c, acked, victimPages, 0x11, 5*time.Second)
+	writePages(t, c, acked, promoterPages, 0x12, 5*time.Second)
 
 	tc.kill(victim)
-	writePages(victimPages, 0x21, 10*time.Second) // forces promotion on the promoter
+	writePages(t, c, acked, victimPages, 0x21, 10*time.Second) // forces promotion on the promoter
 	if got := tc.nodes[promoter].node.met.failovers.Load(); got != 1 {
 		t.Fatalf("promoter %s recorded %d failovers, want 1", promoter, got)
 	}
@@ -574,8 +470,8 @@ func TestLifecycleFencedRejoin(t *testing.T) {
 	// Writes break the holder's dead streams (the third member still
 	// looks attached until a segment ships) and stall retryably until
 	// fresh verified baselines land on the rejoined member.
-	writePages(victimPages, 0x31, 20*time.Second)
-	writePages(promoterPages, 0x32, 20*time.Second)
+	writePages(t, c, acked, victimPages, 0x31, 20*time.Second)
+	writePages(t, c, acked, promoterPages, 0x32, 20*time.Second)
 	waitFor(t, 15*time.Second, func() bool { return vn.node.met.rejoins.Load() >= 1 },
 		"fenced rejoin baseline never arrived")
 	waitFor(t, 10*time.Second, func() bool { return vn.node.holdsStandby(victim) },
@@ -592,8 +488,8 @@ func TestLifecycleFencedRejoin(t *testing.T) {
 	vn = tc.restart(victim)
 	waitFor(t, 10*time.Second, func() bool { _, dep := vn.node.isDeposed(); return dep },
 		"second restart never learned it was deposed")
-	writePages(victimPages, 0x51, 20*time.Second)
-	writePages(promoterPages, 0x52, 20*time.Second)
+	writePages(t, c, acked, victimPages, 0x51, 20*time.Second)
+	writePages(t, c, acked, promoterPages, 0x52, 20*time.Second)
 	waitFor(t, 15*time.Second, func() bool { return vn.node.met.rejoins.Load() >= 1 },
 		"second rejoin of the same ID never completed")
 	waitFor(t, 10*time.Second, func() bool {
@@ -603,20 +499,12 @@ func TestLifecycleFencedRejoin(t *testing.T) {
 	// Failback: the holder dies; the rejoined member promotes the fresh
 	// standbys — its own range and the holder's — and serves again.
 	tc.kill(promoter)
-	writePages(victimPages, 0x61, 15*time.Second)
-	writePages(promoterPages, 0x62, 15*time.Second)
+	writePages(t, c, acked, victimPages, 0x61, 15*time.Second)
+	writePages(t, c, acked, promoterPages, 0x62, 15*time.Second)
 	if got := vn.node.met.failovers.Load(); got < 2 {
 		t.Errorf("rejoined member promoted %d ranges, want 2", got)
 	}
-	for a, v := range acked {
-		got, err := c.Read(a, layout.BlockSize, core.Meta{})
-		if err != nil {
-			t.Fatalf("read %#x: %v", uint64(a), err)
-		}
-		if want := fillByte(a, v); got[0] != want[0] {
-			t.Fatalf("addr %#x: got %#x want %#x — a rejoin baseline lost acked writes", uint64(a), got[0], want[0])
-		}
-	}
+	checkAcked(t, c, acked, 0, "after the rejoins and failback")
 }
 
 // TestLifecycleEpochRegression: membership views only ratchet forward —
@@ -695,18 +583,8 @@ func TestLifecycleCheckpointRotation(t *testing.T) {
 	tc := startCluster(t, 3, false)
 	c := tc.client()
 	ring := NewRing([]string{"n1", "n2", "n3"})
-	acked := map[layout.Addr]byte{}
-	writeAll := func(tag byte, budget time.Duration) {
-		for p := uint64(0); p < 16; p++ {
-			a := blockAddr(p, int(p)%4)
-			v := tag ^ byte(p)
-			if err := retry(budget, func() error { return c.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-				t.Fatalf("write page %d: %v", p, err)
-			}
-			acked[a] = v
-		}
-	}
-	writeAll(0x10, 5*time.Second)
+	acked := history.New[layout.Addr]()
+	writePages(t, c, acked, firstPages(16), 0x10, 5*time.Second)
 
 	owner := ring.OwnerPage(0)
 	on := tc.nodes[owner]
@@ -721,18 +599,10 @@ func TestLifecycleCheckpointRotation(t *testing.T) {
 
 	// Writes to the rotated owner's range flow again after the proactive
 	// re-baseline — no stranded follower, no dead stream.
-	writeAll(0x20, 15*time.Second)
+	writePages(t, c, acked, firstPages(16), 0x20, 15*time.Second)
 	waitFor(t, 10*time.Second, func() bool { return on.node.met.attached.Load() == 1 },
 		"stream never re-attached after rotation")
-	for a, v := range acked {
-		got, err := c.Read(a, layout.BlockSize, core.Meta{})
-		if err != nil {
-			t.Fatalf("read %#x: %v", uint64(a), err)
-		}
-		if want := fillByte(a, v); got[0] != want[0] {
-			t.Fatalf("addr %#x: got %#x want %#x", uint64(a), got[0], want[0])
-		}
-	}
+	checkAcked(t, c, acked, 0, "after the checkpoint rotation")
 }
 
 // TestSmartClientStallBackoff: the jittered same-target backoff stays

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"reflect"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"aisebmt/internal/core"
+	"aisebmt/internal/history"
 	"aisebmt/internal/layout"
 	"aisebmt/internal/server"
 )
@@ -27,25 +27,6 @@ func (tc *testCluster) plainClient(id string) *server.Client {
 	return c
 }
 
-// checkAcked reads every acknowledged write back through c.
-func checkAcked(t *testing.T, c *server.Client, acked map[layout.Addr]byte, when string) {
-	t.Helper()
-	for a, v := range acked {
-		var got []byte
-		err := retry(10*time.Second, func() error {
-			b, err := c.Read(a, layout.BlockSize, core.Meta{})
-			got = b
-			return err
-		})
-		if err != nil {
-			t.Fatalf("read %#x %s: %v", uint64(a), when, err)
-		}
-		if want := fillByte(a, v); got[0] != want[0] {
-			t.Fatalf("addr %#x %s: got %#x want %#x — acked write lost", uint64(a), when, got[0], want[0])
-		}
-	}
-}
-
 // TestProxyFailover: a plain client on a proxying member that neither
 // owned nor promoted a range reads back every acked write of it after
 // its owner dies. Its node's walk starts at the dead owner and reaches
@@ -58,20 +39,13 @@ func TestProxyFailover(t *testing.T) {
 	standby, bystander := succ[0], succ[1]
 	c := tc.plainClient(bystander)
 
-	acked := map[layout.Addr]byte{}
+	acked := history.New[layout.Addr]()
 	pages := pagesOwnedBy(lineages, victim, 16)
-	for i, p := range pages {
-		a := blockAddr(p, i%4)
-		v := 0x30 ^ byte(p)
-		if err := retry(5*time.Second, func() error { return c.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-			t.Fatalf("proxied write page %d: %v", p, err)
-		}
-		acked[a] = v
-	}
+	writePages(t, c, acked, pages, 0x30, 5*time.Second)
 
 	tc.kill(victim)
 	t.Logf("killed %s; %s promotes, %s proxies", victim, standby, bystander)
-	checkAcked(t, c, acked, "after the owner died")
+	checkAcked(t, c, acked, 10*time.Second, "after the owner died")
 
 	// The range is writable again through the same proxy, and the
 	// promotion happened exactly once, on the owner's follower.
@@ -79,8 +53,8 @@ func TestProxyFailover(t *testing.T) {
 	if err := retry(10*time.Second, func() error { return c.Write(a, fillByte(a, 0x77), core.Meta{}) }); err != nil {
 		t.Fatalf("proxied write after failover: %v", err)
 	}
-	acked[a] = 0x77
-	checkAcked(t, c, acked, "after the post-failover write")
+	acked.Ack(a, fillByte(a, 0x77))
+	checkAcked(t, c, acked, 10*time.Second, "after the post-failover write")
 
 	// Concurrent plain clients share the bystander's peer pool and
 	// learned redirects.
@@ -91,15 +65,8 @@ func TestProxyFailover(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for a, v := range acked {
-				got, err := cl.Read(a, layout.BlockSize, core.Meta{})
-				if err == nil && got[0] != fillByte(a, v)[0] {
-					err = fmt.Errorf("addr %#x: got %#x — acked write lost", uint64(a), got[0])
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
+			if _, err := acked.Verify(func(a layout.Addr) ([]byte, error) { return cl.Read(a, layout.BlockSize, core.Meta{}) }); err != nil {
+				errs <- err
 			}
 		}()
 	}
@@ -125,18 +92,9 @@ func TestProxyAfterLeave(t *testing.T) {
 	survivors := []string{"n2", "n3"}
 	writer := tc.plainClient("n2")
 
-	acked := map[layout.Addr]byte{}
-	writeRange := func(tag byte) {
-		for i, p := range pagesOwnedBy(lineages, "n1", 16) {
-			a := blockAddr(p, i%4)
-			v := tag ^ byte(p)
-			if err := retry(10*time.Second, func() error { return writer.Write(a, fillByte(a, v), core.Meta{}) }); err != nil {
-				t.Fatalf("proxied write page %d: %v", p, err)
-			}
-			acked[a] = v
-		}
-	}
-	writeRange(0x40)
+	acked := history.New[layout.Addr]()
+	pages := pagesOwnedBy(lineages, "n1", 16)
+	writePages(t, writer, acked, pages, 0x40, 10*time.Second)
 
 	if _, err := tc.nodes["n1"].node.ClusterLeave("n1"); err != nil {
 		t.Fatalf("ClusterLeave: %v", err)
@@ -148,11 +106,11 @@ func TestProxyAfterLeave(t *testing.T) {
 	t.Logf("lineage n1 handed to %s", holder)
 
 	for _, id := range survivors {
-		checkAcked(t, tc.plainClient(id), acked, "after the leave via "+id)
+		checkAcked(t, tc.plainClient(id), acked, 10*time.Second, "after the leave via "+id)
 	}
-	writeRange(0x50)
+	writePages(t, writer, acked, pages, 0x50, 10*time.Second)
 	for _, id := range survivors {
-		checkAcked(t, tc.plainClient(id), acked, "after a post-leave write via "+id)
+		checkAcked(t, tc.plainClient(id), acked, 10*time.Second, "after a post-leave write via "+id)
 	}
 }
 
@@ -415,8 +373,7 @@ func TestProxyHopsHonourPartition(t *testing.T) {
 	a := blockAddr(page, 0)
 	c := tc.plainClient(proxy)
 
-	// Cut before the proxy ever dials the owner: the world intercepts
-	// dials, not connections already open.
+	// Cut before the proxy ever dials the owner.
 	tc.w.partition(proxy, owner, true)
 	err := c.Write(a, fillByte(a, 0x22), core.Meta{})
 	if !server.Retryable(err) {
