@@ -19,10 +19,10 @@ import (
 
 // Lifecycle tests: automatic re-replication after failover, ring
 // membership changes (join/leave), fenced rejoin of deposed members, and
-// the edge cases between them. They share the crash harness from
-// cluster_test.go and verify every scenario against a shadow model of
-// acknowledged writes — the invariant under test is always "zero
-// acknowledged writes lost, exactly one owner".
+// the edge cases between them. They share the test world from
+// cluster_test.go and check every scenario against the history of
+// acknowledged writes (internal/history) — the invariant under test is
+// always "zero acknowledged writes lost, exactly one owner".
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
