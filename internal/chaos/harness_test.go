@@ -158,8 +158,8 @@ func (h *harness) close() error {
 	return err
 }
 
-// runStats returns the run's counters, folding in the pool's own.
-func (h *harness) runStats() runStats {
+// counts returns the run's counters, folding in the pool's own.
+func (h *harness) counts() runStats {
 	s := h.stats
 	s.fsFaults = h.fs.injected()
 	ps := h.pool.Stats()

@@ -51,10 +51,7 @@ func TestChaosMatrix(t *testing.T) {
 					}
 				}
 			}
-			if err := h.verifyObs(); err != nil {
-				t.Errorf("observability: %v", err)
-			}
-			st := h.runStats()
+			st := h.counts()
 			t.Logf("matrix stats: %+v", st)
 			if st.tampersDetected != st.tampersInjected {
 				t.Errorf("detected %d of %d injected tampers", st.tampersDetected, st.tampersInjected)
@@ -63,7 +60,10 @@ func TestChaosMatrix(t *testing.T) {
 				t.Errorf("healed %d of %d scenarios", st.heals, st.scenarios)
 			}
 			if st.scenarios < *rounds*len(scenarios) {
-				return // -run picked a subset; it need not fault or write
+				return // -run picked a subset; it need not fault, write or trace
+			}
+			if err := h.verifyObs(); err != nil {
+				t.Errorf("observability: %v", err)
 			}
 			if st.poolFaults == 0 || st.poolRepairs == 0 {
 				t.Errorf("no faults (%d) or repairs (%d) recorded — the matrix exercised nothing", st.poolFaults, st.poolRepairs)
